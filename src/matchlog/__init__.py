@@ -27,6 +27,7 @@ from .syntax import (
     print_clause,
     print_program,
     print_term,
+    rename,
 )
 from .substitution import (
     ArrowSubstitution,
@@ -35,6 +36,7 @@ from .substitution import (
     arrow_apply,
     compose,
     compose_arrows,
+    instances,
     mgm,
     mgu,
     rename_apart,
@@ -55,7 +57,7 @@ from .cotree import (
     tree_leq,
     truncate_tree,
 )
-from .engine_tm import TmResult, tm_prove, tm_prove_all
+from .engine_tm import TmResult, tm_prove
 from .engine_sld import (
     Answer,
     BridgeReport,
@@ -68,12 +70,10 @@ from .engine_sld import (
 from .coalgebra import (
     Approximant,
     GroundCoalgebra,
-    LaxReport,
     LaxSquare,
     LaxSweepReport,
     PffElement,
     approximant_matches_tree,
-    check_lax_square,
     coalgebra_program,
     default_check_atoms,
     encode_tree,
@@ -81,6 +81,7 @@ from .coalgebra import (
     enumerate_terms,
     ground_coalgebra,
     ground_lfp,
+    lax_square,
     lax_sweep,
     pff_map,
     pff_step,

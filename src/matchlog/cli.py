@@ -2,8 +2,9 @@
 
 Subcommands: prove, solve, tree, check, classify. Exit codes for `prove`
 follow the three-valued verdict (0 proved, 1 failed, 2 unknown); `check`
-exits 0 exactly when no violations were found; usage errors exit 64 and
-unreadable or malformed input exits 65.
+exits 0 exactly when no violations were found; usage errors, including
+out-of-range numeric bounds, exit 64; unreadable or malformed input, and
+terms nested too deeply to process, exit 65.
 """
 
 from __future__ import annotations
@@ -11,20 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import coalgebra, cotree, engine_sld, engine_tm, syntax
 from .cotree import Status
 from .substitution import Substitution
-from .syntax import (
-    ArityMismatchError,
-    Atom,
-    ParseError,
-    Program,
-    Term,
-    Var,
-    print_atom,
-)
+from .syntax import ArityMismatchError, ParseError, Program, Term, Var, print_atom
 
 EX_USAGE = 64
 EX_DATAERR = 65
@@ -41,10 +34,22 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """argparse type for a numeric bound; a value below `low` is a usage error."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse reports unparsable text as an "invalid int value"
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="matchlog",
                              description="Horn-clause proving, solving and tree tools")
     sub = parser.add_subparsers(dest="command", required=True)
+    natural, positive = _int_at_least(0), _int_at_least(1)
 
     def add_common(p: argparse.ArgumentParser, goal: bool) -> None:
         p.add_argument("program", help="path to a .lp program file")
@@ -53,35 +58,35 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_prove = sub.add_parser("prove", help="term-matching proof of a goal as stated")
     add_common(p_prove, goal=True)
-    p_prove.add_argument("--depth", type=int, default=16)
+    p_prove.add_argument("--depth", type=positive, default=16)
     p_prove.add_argument("--format", choices=["ascii", "dot", "json"], default="ascii")
 
     p_solve = sub.add_parser("solve", help="SLD resolution: computed answers")
     add_common(p_solve, goal=True)
-    p_solve.add_argument("--max-steps", type=int, default=10_000)
-    p_solve.add_argument("--max-answers", type=int, default=1)
+    p_solve.add_argument("--max-steps", type=positive, default=10_000)
+    p_solve.add_argument("--max-answers", type=positive, default=1)
     p_solve.add_argument("--strategy", choices=["dfs", "iddfs"], default="iddfs")
 
     p_tree = sub.add_parser("tree", help="render the truncated and-or tree")
     add_common(p_tree, goal=True)
-    p_tree.add_argument("--depth", type=int, default=16)
+    p_tree.add_argument("--depth", type=natural, default=16)
     p_tree.add_argument("--format", choices=["ascii", "dot", "json"], default="ascii")
 
     p_check = sub.add_parser("check", help="run a checker suite over the program")
     add_common(p_check, goal=False)
     p_check.add_argument("--what", choices=["lax", "inj", "bridge", "ground-oracle"],
                          required=True)
-    p_check.add_argument("--levels", type=int, default=4,
+    p_check.add_argument("--levels", type=natural, default=4,
                          help="unfolding levels for ground-oracle")
-    p_check.add_argument("--arity", type=int, default=3,
+    p_check.add_argument("--arity", type=natural, default=3,
                          help="largest variable context for lax/inj sweeps")
-    p_check.add_argument("--term-depth", type=int, default=2,
+    p_check.add_argument("--term-depth", type=positive, default=2,
                          help="term depth bound for generated arrows")
-    p_check.add_argument("--depth", type=int, default=16,
+    p_check.add_argument("--depth", type=positive, default=16,
                          help="term-matching depth for bridge checks")
-    p_check.add_argument("--max-steps", type=int, default=10_000)
-    p_check.add_argument("--max-answers", type=int, default=5)
-    p_check.add_argument("--max-report", type=int, default=20,
+    p_check.add_argument("--max-steps", type=positive, default=10_000)
+    p_check.add_argument("--max-answers", type=positive, default=5)
+    p_check.add_argument("--max-report", type=natural, default=20,
                          help="cap on printed witness lines")
     p_check.add_argument("--format", choices=["ascii", "json"], default="ascii")
 
@@ -148,13 +153,6 @@ def _cmd_tree(args: argparse.Namespace) -> int:
     return 0
 
 
-def _generic_goals(program: Program) -> list[Atom]:
-    return [
-        Atom(pred, tuple(Var(i) for i in range(1, arity + 1)))
-        for pred, arity in program.signature.predicates
-    ]
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     program = _load_program(args.program)
     cap = args.max_report
@@ -201,7 +199,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                                       max_answers=args.max_answers)
         bad = 0
         records = []
-        for goal in _generic_goals(program):
+        for goal in program.signature.generic_atoms:
             rep = engine_sld.check_bridge(program, goal, limits, tm_depth=args.depth)
             bad += len(rep.violations)
             if as_json:
@@ -294,6 +292,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EX_DATAERR
     except ValueError as exc:
         print(f"matchlog: {exc}", file=sys.stderr)
+        return EX_DATAERR
+    except RecursionError:
+        print("matchlog: term nested too deeply to process", file=sys.stderr)
         return EX_DATAERR
 
 

@@ -8,30 +8,26 @@ checks the two constructions against each other.
 
 First-order side: for an atom over a base of n variables, `pff_step` collects
 the matched clause bodies, with body-only clause variables mapped to fresh
-indices n+1, n+2, ... The result is kept as a canonical representative
-(minimal fresh count, fresh numbering fixed by taking the least renaming), so
-that literal equality decides equality of the underlying quotient. Arrows act
-on these elements by substitution on the base and uniform renumbering of the
-fresh block, and `check_lax_square` compares acting-then-stepping against
-stepping-then-acting: the first is always below the second in the subset
-order, with equality whenever the arrow is an injective renaming.
+indices n+1, n+2, ... It reads them off `substitution.instances`, the step
+that also builds each layer of the and-or tree. The result is kept as a
+canonical representative (minimal fresh count, fresh numbering fixed by
+taking the least renaming), so that literal equality decides equality of the
+underlying quotient. Arrows act on these elements by substitution on the
+base and uniform renumbering of the fresh block, and `lax_square` compares
+acting-then-stepping against stepping-then-acting: the first is always below
+the second in the subset order, with equality whenever the arrow is an
+injective renaming.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .cotree import AndNode, build_tree
-from .substitution import (
-    ArrowSubstitution,
-    Substitution,
-    apply,
-    arrow_apply,
-    mgm,
-)
+from .substitution import ArrowSubstitution, arrow_apply, instances, is_var_injection
 from .syntax import (
     ArityMismatchError,
     Atom,
@@ -42,8 +38,10 @@ from .syntax import (
     Term,
     Var,
     atom_vars,
+    lookup,
     max_var,
     print_atom,
+    rename_atom,
 )
 
 
@@ -250,17 +248,8 @@ class PffElement:
         best_key = None
         best_body = None
         for perm in itertools.permutations(range(base + 1, base + k + 1)):
-            ren = dict(zip(fresh_vars, perm))
-
-            def rn_term(t: Term) -> Term:
-                if isinstance(t, Var):
-                    return Var(ren.get(t.index, t.index))
-                return Fn(t.name, tuple(rn_term(a) for a in t.args))
-
-            body = frozenset(
-                frozenset(Atom(a.pred, tuple(rn_term(t) for t in a.args)) for a in s)
-                for s in raw
-            )
+            var_fn = lookup({old: Var(new) for old, new in zip(fresh_vars, perm)})
+            body = frozenset(frozenset(rename_atom(a, var_fn) for a in s) for s in raw)
             key = tuple(sorted(
                 tuple(sorted(print_atom(a) for a in s)) for s in body
             ))
@@ -286,19 +275,8 @@ def pff_step(program: Program, atom: Atom, base: int) -> PffElement:
     program.check_atom(atom)
     if max_var(atom) > base:
         raise ArityMismatchError(print_atom(atom), base, max_var(atom), "goal")
-    sets = []
-    for clause in program.clauses:
-        theta = mgm(clause.head, atom)
-        if theta is None:
-            continue
-        k = clause.var_count - clause.head_var_count
-        if k:
-            extended = dict(theta.items())
-            for j in range(1, k + 1):
-                extended[clause.head_var_count + j] = Var(base + j)
-            theta = Substitution(extended)
-        sets.append(frozenset(apply(theta, b) for b in clause.body))
-    return PffElement.canonical(base, sets)
+    return PffElement.canonical(
+        base, [frozenset(body) for _, _, body in instances(program, atom, base)])
 
 
 def pff_map(f: ArrowSubstitution, e: PffElement) -> PffElement:
@@ -306,20 +284,8 @@ def pff_map(f: ArrowSubstitution, e: PffElement) -> PffElement:
     block from above f.target to above f.source, re-canonicalise."""
     if f.target != e.base:
         raise ArityMismatchError("element base", f.target, e.base, "arrow target")
-    m, n = f.target, f.source
-
-    def sub(t: Term) -> Term:
-        if isinstance(t, Var):
-            if t.index <= m:
-                return f.terms[t.index - 1]
-            return Var(n + (t.index - m))
-        return Fn(t.name, tuple(sub(a) for a in t.args))
-
-    sets = [
-        frozenset(Atom(a.pred, tuple(sub(t) for t in a.args)) for a in s)
-        for s in e.body
-    ]
-    return PffElement.canonical(n, sets)
+    return PffElement.canonical(
+        f.source, [frozenset(rename_atom(a, f.rename_var) for a in s) for s in e.body])
 
 
 def pp_leq(a: Iterable[Iterable[Atom]], b: Iterable[Iterable[Atom]]) -> bool:
@@ -343,18 +309,8 @@ def pff_leq(e1: PffElement, e2: PffElement) -> bool:
     base = e1.base
     src = range(base + 1, base + e1.fresh + 1)
     for image in itertools.permutations(range(base + 1, base + e2.fresh + 1), e1.fresh):
-        ren = dict(zip(src, image))
-
-        def rn_term(t: Term) -> Term:
-            if isinstance(t, Var):
-                return Var(ren.get(t.index, t.index))
-            return Fn(t.name, tuple(rn_term(a) for a in t.args))
-
-        renamed = [
-            {Atom(a.pred, tuple(rn_term(t) for t in a.args)) for a in s}
-            for s in e1.body
-        ]
-        if pp_leq(renamed, e2.body):
+        var_fn = lookup({old: Var(new) for old, new in zip(src, image)})
+        if pp_leq([{rename_atom(a, var_fn) for a in s} for s in e1.body], e2.body):
             return True
     return False
 
@@ -397,37 +353,16 @@ class LaxSquare:
         }
 
 
-def _square(program: Program, f: ArrowSubstitution, atom: Atom,
-            lhs_source: PffElement | None = None) -> LaxSquare:
-    src = lhs_source if lhs_source is not None else pff_step(program, atom, f.target)
-    lhs = pff_map(f, src)
-    rhs = pff_step(program, arrow_apply(f, atom), f.source)
+def lax_square(step: Callable[[Atom, int], PffElement], f: ArrowSubstitution,
+               atom: Atom) -> LaxSquare:
+    """Check lhs <= rhs for one arrow and atom, recording equality too.
+
+    `step(atom, base)` is `pff_step` for the program under test, for example
+    `functools.partial(pff_step, program)`, or a cached version of it.
+    """
+    lhs = pff_map(f, step(atom, f.target))
+    rhs = step(arrow_apply(f, atom), f.source)
     return LaxSquare(f, atom, lhs, rhs, pff_leq(lhs, rhs), lhs == rhs)
-
-
-@dataclass(frozen=True)
-class LaxReport:
-    squares: tuple[LaxSquare, ...]
-
-    @property
-    def lax_failures(self) -> tuple[LaxSquare, ...]:
-        return tuple(s for s in self.squares if not s.lax_ok)
-
-    @property
-    def equality_failures(self) -> tuple[LaxSquare, ...]:
-        return tuple(s for s in self.squares if s.lax_ok and not s.strict_ok)
-
-    def to_text(self, strict_expected: bool = False) -> str:
-        return "\n".join(s.line(strict_expected) for s in self.squares) + "\n"
-
-    def to_json_records(self) -> list[dict]:
-        return [s.to_record() for s in self.squares]
-
-
-def check_lax_square(program: Program, f: ArrowSubstitution,
-                     atoms: Iterable[Atom]) -> LaxReport:
-    """Check the inequality lhs <= rhs for each atom, reporting equality too."""
-    return LaxReport(tuple(_square(program, f, a) for a in atoms))
 
 
 # ---------------------------------------------------------------------------
@@ -477,24 +412,14 @@ def default_check_atoms(program: Program, max_arity: int = 3) -> tuple[tuple[Ato
             seen.add((atom, base))
             out.append((atom, base))
 
-    generics = []
-    for pred, arity in program.signature.predicates:
-        if arity <= max_arity:
-            g = Atom(pred, tuple(Var(i) for i in range(1, arity + 1)))
-            generics.append(g)
-            add(g, arity)
+    generics = [g for g in program.signature.generic_atoms if len(g.args) <= max_arity]
+    for g in generics:
+        add(g, len(g.args))
     for clause in program.clauses:
         add(clause.head, clause.head_var_count)
     for g in generics:
         add(g, max_arity)
     return tuple(out)
-
-
-def _is_var_injection(tup: tuple[Term, ...]) -> bool:
-    if not all(isinstance(t, Var) for t in tup):
-        return False
-    idx = [t.index for t in tup]  # type: ignore[union-attr]
-    return len(set(idx)) == len(idx)
 
 
 @dataclass(frozen=True)
@@ -553,7 +478,6 @@ def lax_sweep(program: Program,
     injection_failures: list[LaxSquare] = []
 
     for atom, m in atom_bases:
-        element = step(atom, m)
         used = tuple(sorted(set(atom_vars(atom))))
         for n in range(max_arity + 1):
             pool = terms_by_n[n]
@@ -563,11 +487,7 @@ def lax_sweep(program: Program,
                 fkey = tuple(tup[i - 1] for i in used)
                 sq = verdicts.get(fkey)
                 if sq is None:
-                    f = ArrowSubstitution(n, m, tup)
-                    lhs = pff_map(f, element)
-                    rhs = step(arrow_apply(f, atom), n)
-                    sq = LaxSquare(f, atom, lhs, rhs, pff_leq(lhs, rhs), lhs == rhs)
-                    verdicts[fkey] = sq
+                    sq = verdicts[fkey] = lax_square(step, ArrowSubstitution(n, m, tup), atom)
                     classes += 1
                     if not sq.lax_ok:
                         lax_failures.append(sq)
@@ -575,10 +495,9 @@ def lax_sweep(program: Program,
                         equality_failures.append(sq)
                 if sq.strict_ok:
                     strict_ok += 1
-                elif _is_var_injection(tup):
-                    injection_failures.append(LaxSquare(
-                        ArrowSubstitution(n, m, tup), atom,
-                        sq.lhs, sq.rhs, sq.lax_ok, sq.strict_ok))
+                elif is_var_injection(tup):
+                    injection_failures.append(
+                        replace(sq, arrow=ArrowSubstitution(n, m, tup)))
     return LaxSweepReport(squares, classes, strict_ok,
                           tuple(lax_failures), tuple(equality_failures),
                           tuple(injection_failures))

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from .syntax import (
     ArityMismatchError,
     Atom,
-    Fn,
     Program,
     Signature,
     Var,
@@ -35,9 +34,11 @@ from .syntax import (
     parse_canonical_term,
     print_atom,
     print_term,
+    rename,
+    rename_atom,
     var_name,
 )
-from .substitution import Substitution, apply, ArrowSubstitution, mgm
+from .substitution import Substitution, ArrowSubstitution, instances
 
 
 class Status(enum.IntEnum):
@@ -125,21 +126,11 @@ def build_tree(program: Program, goal: Atom, base: int, depth: int) -> CoTree:
             node = AndNode(atom, (), True)
         else:
             ors = []
-            for idx, clause in enumerate(program.clauses):
-                theta = mgm(clause.head, atom)
-                if theta is None:
-                    continue
-                k = clause.var_count - clause.head_var_count
-                if k:
-                    extended = dict(theta.items())
-                    for j in range(1, k + 1):
-                        extended[clause.head_var_count + j] = Var(ceiling + j)
-                    theta = Substitution(extended)
-                kids = tuple(
-                    expand(apply(theta, b), remaining - 1, ceiling + k)
-                    for b in clause.body
-                )
-                ors.append(OrNode(idx, theta, kids))
+            for idx, theta, body in instances(program, atom, ceiling):
+                clause = program.clauses[idx]
+                child_ceiling = ceiling + clause.var_count - clause.head_var_count
+                ors.append(OrNode(idx, theta,
+                                  tuple(expand(b, remaining - 1, child_ceiling) for b in body)))
             node = AndNode(atom, tuple(ors), False)
         if ground:
             memo[(atom, remaining)] = node
@@ -233,30 +224,20 @@ def map_tree(f: ArrowSubstitution, t: CoTree) -> CoTree:
     """
     if f.target != t.base:
         raise ArityMismatchError("tree base", f.target, t.base, "arrow target")
-    m, n = f.target, f.source
-
-    def sub_term(term):
-        if isinstance(term, Var):
-            if term.index <= m:
-                return f.terms[term.index - 1]
-            return Var(n + (term.index - m))
-        return Fn(term.name, tuple(sub_term(a) for a in term.args))
-
-    def sub_atom(a: Atom) -> Atom:
-        return Atom(a.pred, tuple(sub_term(x) for x in a.args))
+    var_fn = f.rename_var
 
     def walk(node: AndNode) -> AndNode:
         ors = tuple(
             OrNode(
                 o.clause_index,
-                Substitution({i: sub_term(v) for i, v in o.matcher.items()}),
+                Substitution({i: rename(v, var_fn) for i, v in o.matcher.items()}),
                 tuple(walk(c) for c in o.children),
             )
             for o in node.children
         )
-        return AndNode(sub_atom(node.atom), ors, node.truncated)
+        return AndNode(rename_atom(node.atom, var_fn), ors, node.truncated)
 
-    return CoTree(walk(t.root), n)
+    return CoTree(walk(t.root), f.source)
 
 
 def tree_leq(small: CoTree, big: CoTree) -> bool:

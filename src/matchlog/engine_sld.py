@@ -16,7 +16,7 @@ from typing import Sequence
 from .cotree import Status
 from .engine_tm import tm_prove
 from .substitution import Substitution, apply, compose, mgu, rename_apart
-from .syntax import Atom, Fn, Program, Term, Var, max_var, print_atom
+from .syntax import Atom, Program, Term, Var, max_var, print_atom, rename, renumbering
 
 
 @dataclass(frozen=True)
@@ -53,22 +53,12 @@ class SldResult:
 
 def _canonical_answer(sigma: Substitution, n0: int) -> Substitution:
     """Restrict to query variables 1..n0 and renumber residual free variables."""
-    fresh: dict[int, int] = {}
-
-    def canon(t: Term) -> Term:
-        if isinstance(t, Var):
-            if t.index <= n0:
-                return t
-            if t.index not in fresh:
-                fresh[t.index] = n0 + len(fresh) + 1
-            return Var(fresh[t.index])
-        return Fn(t.name, tuple(canon(a) for a in t.args))
-
+    var_fn = renumbering(n0, {})
     out: dict[int, Term] = {}
     for i in range(1, n0 + 1):
         t = apply(sigma, Var(i))
         if t != Var(i):
-            out[i] = canon(t)
+            out[i] = rename(t, var_fn)
     return Substitution(out)
 
 

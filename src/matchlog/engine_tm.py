@@ -16,11 +16,10 @@ cross-checked in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .cotree import AndNode, OrNode, ProofTree, Status
-from .substitution import Substitution, apply, mgm
-from .syntax import Atom, Fn, Program, Term, Var, max_var
+from .substitution import instances
+from .syntax import Atom, Program, max_var, renumbering, rename_atom
 
 
 @dataclass(frozen=True)
@@ -31,22 +30,6 @@ class TmResult:
     @property
     def is_proved(self) -> bool:
         return self.status is Status.PROVED
-
-
-def _canonical_key(atom: Atom, base: int) -> Atom:
-    """Renumber variables above `base` by first occurrence, for memoisation."""
-    seen: dict[int, int] = {}
-
-    def walk(t: Term) -> Term:
-        if isinstance(t, Var):
-            if t.index <= base:
-                return t
-            if t.index not in seen:
-                seen[t.index] = base + len(seen) + 1
-            return Var(seen[t.index])
-        return Fn(t.name, tuple(walk(a) for a in t.args))
-
-    return Atom(atom.pred, tuple(walk(t) for t in atom.args))
 
 
 def tm_prove(program: Program, goal: Atom, depth: int) -> TmResult:
@@ -62,29 +45,15 @@ def tm_prove(program: Program, goal: Atom, depth: int) -> TmResult:
     base = max_var(goal)
     memo: dict[tuple[Atom, int], Status] = {}
 
-    def instances(atom: Atom):
-        ceiling = max(base, max_var(atom))
-        for idx, clause in enumerate(program.clauses):
-            theta = mgm(clause.head, atom)
-            if theta is None:
-                continue
-            k = clause.var_count - clause.head_var_count
-            if k:
-                extended = dict(theta.items())
-                for j in range(1, k + 1):
-                    extended[clause.head_var_count + j] = Var(ceiling + j)
-                theta = Substitution(extended)
-            yield idx, theta, tuple(apply(theta, b) for b in clause.body)
-
     def status(atom: Atom, remaining: int) -> Status:
         if remaining == 0:
             return Status.UNKNOWN
-        key = (_canonical_key(atom, base), remaining)
+        key = (rename_atom(atom, renumbering(base, {})), remaining)
         hit = memo.get(key)
         if hit is not None:
             return hit
         best = None
-        for _, _, body in instances(atom):
+        for _, _, body in instances(program, atom, max(base, max_var(atom))):
             branch = Status.PROVED
             for sub in body:
                 branch = min(branch, status(sub, remaining - 1))
@@ -99,7 +68,7 @@ def tm_prove(program: Program, goal: Atom, depth: int) -> TmResult:
         return best
 
     def extract(atom: Atom, remaining: int) -> AndNode:
-        for idx, theta, body in instances(atom):
+        for idx, theta, body in instances(program, atom, max(base, max_var(atom))):
             if all(status(sub, remaining - 1) is Status.PROVED for sub in body):
                 kids = tuple(extract(sub, remaining - 1) for sub in body)
                 return AndNode(atom, (OrNode(idx, theta, kids),), False)
@@ -109,7 +78,3 @@ def tm_prove(program: Program, goal: Atom, depth: int) -> TmResult:
     if outcome is Status.PROVED:
         return TmResult(outcome, ProofTree(extract(goal, depth), base))
     return TmResult(outcome)
-
-
-def tm_prove_all(program: Program, goals: Sequence[Atom], depth: int) -> tuple[TmResult, ...]:
-    return tuple(tm_prove(program, g, depth) for g in goals)

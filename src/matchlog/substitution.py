@@ -15,17 +15,21 @@ most m variables to one over at most n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union, overload
+from typing import Iterable, Iterator, Mapping, Sequence, Union, overload
 
 from .syntax import (
     ArityMismatchError,
     Atom,
     Clause,
     Fn,
+    Program,
     Term,
     Var,
+    lookup,
     max_var,
     print_term,
+    rename,
+    rename_atom,
     var_name,
 )
 
@@ -57,10 +61,6 @@ class Substitution:
 
     def items(self) -> tuple[tuple[int, Term], ...]:
         return tuple(sorted(self._bindings.items()))
-
-    def restrict(self, indices: Iterable[int]) -> "Substitution":
-        keep = set(indices)
-        return Substitution({i: t for i, t in self._bindings.items() if i in keep})
 
     def __bool__(self) -> bool:
         return bool(self._bindings)
@@ -96,13 +96,12 @@ def apply(s: Substitution, x: Sequence[Atom]) -> tuple[Atom, ...]: ...
 
 def apply(s: Substitution, x: _Applicable) -> _Applicable:
     """Homomorphic, simultaneous replacement of variables in x."""
-    if isinstance(x, Var):
-        return s.get(x.index)
-    if isinstance(x, Fn):
-        return Fn(x.name, tuple(apply(s, a) for a in x.args))
+    var_fn = lookup(s._bindings)
     if isinstance(x, Atom):
-        return Atom(x.pred, tuple(apply(s, t) for t in x.args))
-    return tuple(apply(s, a) for a in x)
+        return rename_atom(x, var_fn)
+    if isinstance(x, (Var, Fn)):
+        return rename(x, var_fn)
+    return tuple([rename_atom(a, var_fn) for a in x])
 
 
 def compose(s1: Substitution, s2: Substitution) -> Substitution:
@@ -201,15 +200,31 @@ def rename_apart(c: Clause, avoid: int) -> Clause:
     if avoid == 0:
         return c
 
-    def shift_term(t: Term) -> Term:
-        if isinstance(t, Var):
-            return Var(t.index + avoid)
-        return Fn(t.name, tuple(shift_term(a) for a in t.args))
+    def var_fn(v: Var) -> Term:
+        return Var(v.index + avoid)
 
-    def shift_atom(a: Atom) -> Atom:
-        return Atom(a.pred, tuple(shift_term(t) for t in a.args))
+    return Clause(rename_atom(c.head, var_fn), tuple([rename_atom(a, var_fn) for a in c.body]))
 
-    return Clause(shift_atom(c.head), tuple(shift_atom(a) for a in c.body))
+
+def instances(program: Program, atom: Atom,
+              ceiling: int) -> Iterator[tuple[int, Substitution, tuple[Atom, ...]]]:
+    """The clauses whose head matches `atom` exactly, in program order.
+
+    Yields the clause index, the matcher extended to send the clause's
+    body-only variables to the fresh indices ceiling+1, ceiling+2, ..., and
+    the body under that matcher.
+    """
+    for idx, clause in enumerate(program.clauses):
+        theta = mgm(clause.head, atom)
+        if theta is None:
+            continue
+        h = clause.head_var_count
+        if clause.var_count > h:
+            extended = dict(theta.items())
+            for j in range(1, clause.var_count - h + 1):
+                extended[h + j] = Var(ceiling + j)
+            theta = Substitution(extended)
+        yield idx, theta, tuple(apply(theta, b) for b in clause.body)
 
 
 # ---------------------------------------------------------------------------
@@ -238,38 +253,38 @@ class ArrowSubstitution:
 
     @property
     def is_injection(self) -> bool:
-        """True when the tuple consists of pairwise distinct variables."""
-        if not all(isinstance(t, Var) for t in self.terms):
-            return False
-        idx = [t.index for t in self.terms]  # type: ignore[union-attr]
-        return len(set(idx)) == len(idx)
+        return is_var_injection(self.terms)
+
+    def rename_var(self, v: Var) -> Term:
+        """`rename` var_fn: x_i goes to the i-th component, and the j-th
+        variable above the target to x_(source+j), so that a fresh block
+        stays aligned with the source arity."""
+        if v.index <= self.target:
+            return self.terms[v.index - 1]
+        return Var(self.source + v.index - self.target)
 
     def __str__(self) -> str:
         inner = ", ".join(print_term(t) for t in self.terms)
         return f"({inner}):{self.source}->{self.target}"
 
 
+def is_var_injection(terms: Sequence[Term]) -> bool:
+    """True when the tuple consists of pairwise distinct variables."""
+    if not all(isinstance(t, Var) for t in terms):
+        return False
+    return len({t.index for t in terms}) == len(terms)  # type: ignore[union-attr]
+
+
 def arrow_apply(f: ArrowSubstitution, a: Atom) -> Atom:
     """Substitute the i-th arrow component for x_i throughout the atom."""
     if max_var(a) > f.target:
         raise ArityMismatchError(a.pred, f.target, max_var(a), "goal for arrow")
-
-    def sub(t: Term) -> Term:
-        if isinstance(t, Var):
-            return f.terms[t.index - 1]
-        return Fn(t.name, tuple(sub(x) for x in t.args))
-
-    return Atom(a.pred, tuple(sub(t) for t in a.args))
+    return rename_atom(a, f.rename_var)
 
 
 def compose_arrows(f: ArrowSubstitution, g: ArrowSubstitution) -> ArrowSubstitution:
     """Composite of f: n->m and g: m->k, yielding n->k (substitution of f into g)."""
     if f.target != g.source:
         raise ArityMismatchError("arrow composition", f.target, g.source, "arrow")
-
-    def sub(t: Term) -> Term:
-        if isinstance(t, Var):
-            return f.terms[t.index - 1]
-        return Fn(t.name, tuple(sub(x) for x in t.args))
-
-    return ArrowSubstitution(f.source, g.target, tuple(sub(t) for t in g.terms))
+    return ArrowSubstitution(f.source, g.target,
+                             tuple(rename(t, f.rename_var) for t in g.terms))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 
 class ParseError(Exception):
@@ -67,6 +67,38 @@ class Atom:
 
     pred: str
     args: tuple[Term, ...] = ()
+
+
+def rename(t: Term, var_fn: Callable[[Var], Term]) -> Term:
+    """Rebuild `t` with every variable v replaced by var_fn(v)."""
+    if isinstance(t, Var):
+        return var_fn(t)
+    if not t.args:
+        return t
+    return Fn(t.name, tuple([rename(a, var_fn) for a in t.args]))
+
+
+def rename_atom(a: Atom, var_fn: Callable[[Var], Term]) -> Atom:
+    return Atom(a.pred, tuple([rename(t, var_fn) for t in a.args]))
+
+
+def lookup(table: Mapping[int, Term]) -> Callable[[Var], Term]:
+    """A `rename` var_fn sending v to table[v.index], or to itself if absent."""
+    get = table.get
+    return lambda v: get(v.index, v)
+
+
+def renumbering(base: int, seen: dict[int, Var]) -> Callable[[Var], Term]:
+    """A `rename` var_fn keeping x1..x`base` and numbering every other variable
+    base+1, base+2, ... by first occurrence; `seen` records old index -> new."""
+    def var_fn(v: Var) -> Term:
+        if v.index <= base:
+            return v
+        new = seen.get(v.index)
+        if new is None:
+            new = seen[v.index] = Var(base + len(seen) + 1)
+        return new
+    return var_fn
 
 
 def term_vars(t: Term) -> Iterator[int]:
@@ -127,36 +159,12 @@ class Clause:
 def canonical_clause(head: Atom, body: Iterable[Atom],
                      names: Mapping[int, str] | None = None) -> Clause:
     """Renumber variables into canonical order (head first, then body)."""
-    body = tuple(body)
-    order: dict[int, int] = {}
-
-    def visit(t: Term) -> None:
-        if isinstance(t, Var):
-            if t.index not in order:
-                order[t.index] = len(order) + 1
-        else:
-            for a in t.args:
-                visit(a)
-
-    for t in head.args:
-        visit(t)
-    for a in body:
-        for t in a.args:
-            visit(t)
-
-    def rename_term(t: Term) -> Term:
-        if isinstance(t, Var):
-            return Var(order[t.index])
-        return Fn(t.name, tuple(rename_term(a) for a in t.args))
-
-    def rename_atom(a: Atom) -> Atom:
-        return Atom(a.pred, tuple(rename_term(t) for t in a.args))
-
-    var_names = None
-    if names is not None:
-        by_new = sorted(order.items(), key=lambda kv: kv[1])
-        var_names = tuple(names[old] for old, _ in by_new)
-    return Clause(rename_atom(head), tuple(rename_atom(a) for a in body), var_names)
+    order: dict[int, Var] = {}
+    var_fn = renumbering(0, order)
+    head = rename_atom(head, var_fn)
+    body = tuple(rename_atom(a, var_fn) for a in body)
+    var_names = None if names is None else tuple(names[old] for old in order)
+    return Clause(head, body, var_names)
 
 
 @dataclass(frozen=True)
@@ -178,27 +186,34 @@ class Signature:
     def constants(self) -> tuple[str, ...]:
         return tuple(name for name, arity in self.functors if arity == 0)
 
+    @property
+    def generic_atoms(self) -> tuple[Atom, ...]:
+        """One atom p(X1, ..., Xn) per predicate p/n."""
+        return tuple(Atom(pred, tuple(Var(i) for i in range(1, arity + 1)))
+                     for pred, arity in self.predicates)
 
-def _collect_arities(clauses: Iterable[Clause]) -> Signature:
-    functors: dict[str, int] = {}
-    predicates: dict[str, int] = {}
 
-    def note(table: dict[str, int], name: str, arity: int, role: str) -> None:
-        old = table.setdefault(name, arity)
-        if old != arity:
-            raise ArityMismatchError(name, old, arity, role)
+def _note(table: dict[str, int], name: str, arity: int, role: str) -> None:
+    old = table.setdefault(name, arity)
+    if old != arity:
+        raise ArityMismatchError(name, old, arity, role)
 
-    def visit_term(t: Term) -> None:
-        if isinstance(t, Fn):
-            note(functors, t.name, len(t.args), "functor")
-            for a in t.args:
-                visit_term(a)
 
-    for c in clauses:
-        for a in (c.head,) + c.body:
-            note(predicates, a.pred, len(a.args), "predicate")
-            for t in a.args:
-                visit_term(t)
+def _note_term(t: Term, functors: dict[str, int]) -> None:
+    if isinstance(t, Fn):
+        _note(functors, t.name, len(t.args), "functor")
+        for a in t.args:
+            _note_term(a, functors)
+
+
+def _note_atom(a: Atom, functors: dict[str, int], predicates: dict[str, int]) -> None:
+    """Record the arities `a` uses; raise ArityMismatchError on a clash."""
+    _note(predicates, a.pred, len(a.args), "predicate")
+    for t in a.args:
+        _note_term(t, functors)
+
+
+def _signature(functors: dict[str, int], predicates: dict[str, int]) -> Signature:
     return Signature(tuple(sorted(functors.items())), tuple(sorted(predicates.items())))
 
 
@@ -211,31 +226,21 @@ class Program:
 
     @classmethod
     def of(cls, clauses: Iterable[Clause]) -> "Program":
-        canon = []
-        for c in clauses:
-            names = None
-            if c.var_names is not None:
-                names = {i + 1: nm for i, nm in enumerate(c.var_names)}
-            canon.append(canonical_clause(c.head, c.body, names))
-        canon = tuple(canon)
-        return cls(canon, _collect_arities(canon))
+        canon = tuple(
+            canonical_clause(c.head, c.body,
+                             None if c.var_names is None else dict(enumerate(c.var_names, 1)))
+            for c in clauses
+        )
+        functors: dict[str, int] = {}
+        predicates: dict[str, int] = {}
+        for c in canon:
+            for a in (c.head,) + c.body:
+                _note_atom(a, functors, predicates)
+        return cls(canon, _signature(functors, predicates))
 
     def check_atom(self, a: Atom) -> None:
         """Raise ArityMismatchError if `a` conflicts with this program's signature."""
-        known = self.signature.predicate_arities.get(a.pred)
-        if known is not None and known != len(a.args):
-            raise ArityMismatchError(a.pred, known, len(a.args), "predicate")
-
-        def visit(t: Term) -> None:
-            if isinstance(t, Fn):
-                k = self.signature.functor_arities.get(t.name)
-                if k is not None and k != len(t.args):
-                    raise ArityMismatchError(t.name, k, len(t.args), "functor")
-                for x in t.args:
-                    visit(x)
-
-        for t in a.args:
-            visit(t)
+        _note_atom(a, dict(self.signature.functors), dict(self.signature.predicates))
 
 
 @dataclass(frozen=True)
@@ -325,11 +330,6 @@ class _Parser:
             raise ParseError(f"expected {what}, found {got}", tok.line, tok.column)
         return self.take()
 
-    def _note(self, table: dict[str, int], name: str, arity: int, role: str) -> None:
-        old = table.setdefault(name, arity)
-        if old != arity:
-            raise ArityMismatchError(name, old, arity, role)
-
     def term(self, varmap: dict[str, int], canonical_vars: bool = False) -> Term:
         tok = self.peek()
         if tok.kind == "var":
@@ -354,7 +354,7 @@ class _Parser:
                     items.append(self.term(varmap, canonical_vars))
                 self.expect("rparen", "')'")
                 args = tuple(items)
-            self._note(self.functors, tok.text, len(args), "functor")
+            _note(self.functors, tok.text, len(args), "functor")
             return Fn(tok.text, args)
         got = repr(tok.text) if tok.kind != "eof" else "end of input"
         raise ParseError(f"expected a term, found {got}", tok.line, tok.column)
@@ -370,7 +370,7 @@ class _Parser:
                 items.append(self.term(varmap, canonical_vars))
             self.expect("rparen", "')'")
             args = tuple(items)
-        self._note(self.predicates, tok.text, len(args), "predicate")
+        _note(self.predicates, tok.text, len(args), "predicate")
         return Atom(tok.text, args)
 
     def clause(self) -> Clause:
@@ -396,8 +396,7 @@ def parse_program(source: str) -> Program:
     clauses = []
     while parser.peek().kind != "eof":
         clauses.append(parser.clause())
-    clauses = tuple(clauses)
-    return Program(clauses, _collect_arities(clauses))
+    return Program(tuple(clauses), _signature(parser.functors, parser.predicates))
 
 
 @dataclass(frozen=True)

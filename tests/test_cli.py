@@ -133,3 +133,29 @@ def test_usage_and_parse_errors(capsys, tmp_path):
     assert code == 65
     code, _, err = run(capsys, "prove", PROGRAMS / "listnat.lp", "nat(s(X,Y))")
     assert code == 65 and "arity" in err
+
+
+def test_bad_numeric_bounds_are_usage_errors(capsys):
+    listnat = PROGRAMS / "listnat.lp"
+    for argv in [
+        ("prove", listnat, "nat(0)", "--depth", "0"),
+        ("tree", listnat, "nat(0)", "--depth", "-1"),
+        ("solve", listnat, "nat(X)", "--max-steps", "0"),
+        ("solve", listnat, "nat(X)", "--max-answers", "0"),
+        ("check", listnat, "--what", "lax", "--arity", "-1"),
+        ("check", PROGRAMS / "ex33.lp", "--what", "ground-oracle", "--levels", "-1"),
+        ("check", listnat, "--what", "lax", "--max-report", "-1"),
+        ("check", listnat, "--what", "lax", "--term-depth", "0"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert code == 64 and out == "" and "must be at least" in err, argv
+
+
+def test_deep_terms_exit_cleanly(capsys):
+    deep = "s(" * 300 + "0" + ")" * 300
+    code, out, err = run(capsys, "prove", PROGRAMS / "listnat.lp", f"nat({deep})",
+                         "--depth", "400")
+    assert (code, out, err) == (65, "", "matchlog: term nested too deeply to process\n")
+    code, out, err = run(capsys, "solve", PROGRAMS / "listnat.lp", "nat(X)",
+                         "--max-answers", "600")
+    assert (code, out, err) == (65, "", "matchlog: term nested too deeply to process\n")

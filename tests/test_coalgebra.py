@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from functools import partial
 
 import pytest
 
@@ -14,12 +15,13 @@ from matchlog import (
     PffElement,
     Var,
     approximant_matches_tree,
-    check_lax_square,
+    build_tree,
     coalgebra_program,
     default_check_atoms,
     enumerate_terms,
     ground_coalgebra,
     ground_lfp,
+    lax_square,
     lax_sweep,
     parse_atom,
     parse_program,
@@ -228,10 +230,10 @@ def test_pff_leq_uses_fresh_renaming(gc):
     assert not pff_leq(big, small)
 
 
-def test_check_lax_square_counterexample(listnat):
+def test_lax_square_counterexample(listnat):
     natx, _ = parse_atom("nat(X)")
     f = ArrowSubstitution(0, 1, (Fn("0"),))
-    (square,) = check_lax_square(listnat, f, [natx]).squares
+    square = lax_square(partial(pff_step, listnat), f, natx)
     assert square.lax_ok and not square.strict_ok
     assert square.lhs == PffElement(0, 0, frozenset())
     assert square.rhs == PffElement(0, 0, frozenset({frozenset()}))
@@ -239,14 +241,20 @@ def test_check_lax_square_counterexample(listnat):
     assert "STRICT FAIL" in square.line(strict_expected=True)
 
 
-def test_check_lax_square_identity_and_injection(listnat, gc):
+def test_lax_square_identity_and_injection(listnat, gc):
     listc, n = parse_atom("list(cons(X, Y))")
-    report = check_lax_square(listnat, ArrowSubstitution.identity(n), [listc])
-    assert all(sq.strict_ok for sq in report.squares)
+    assert lax_square(partial(pff_step, listnat), ArrowSubstitution.identity(n), listc).strict_ok
     conn, _ = parse_atom("connected(X, Y)")
     inj = ArrowSubstitution(3, 2, (Var(2), Var(3)))
-    report = check_lax_square(gc, inj, [conn])
-    assert all(sq.strict_ok for sq in report.squares)
+    assert lax_square(partial(pff_step, gc), inj, conn).strict_ok
+
+
+def test_pff_step_is_the_first_layer_of_the_tree(listnat, listnat_plus, gc, bad, ex33):
+    for program in (listnat, listnat_plus, gc, bad, ex33):
+        for atom, base in default_check_atoms(program):
+            layer = build_tree(program, atom, base, 1).root.children
+            bodies = [[c.atom for c in o.children] for o in layer]
+            assert pff_step(program, atom, base) == PffElement.canonical(base, bodies)
 
 
 def test_enumerate_terms_counts(listnat):
@@ -272,17 +280,17 @@ def test_lax_sweep_small(gc, bad):
 
 
 def test_enumerate_arrows_and_json_records(gc):
-    from matchlog import check_lax_square, enumerate_arrows
+    from matchlog import enumerate_arrows
 
     # a functor-free signature admits only variable tuples
     arrows = list(enumerate_arrows(gc.signature, max_arity=2, term_depth=2))
     assert len(arrows) == sum((n ** m) for n in range(3) for m in range(3))
     conn, _ = parse_atom("connected(X, Y)")
-    report = check_lax_square(gc, ArrowSubstitution(1, 2, (Var(1), Var(1))), [conn])
-    (record,) = report.to_json_records()
+    square = lax_square(partial(pff_step, gc), ArrowSubstitution(1, 2, (Var(1), Var(1))), conn)
+    record = square.to_record()
     assert record["atom"] == "connected(X1, X2)"
     assert record["lax_ok"] is True and record["strict_ok"] is False
-    assert "LAX OK" in report.to_text()
+    assert "LAX OK" in square.line()
 
 
 def test_ground_lfp_agrees_with_independent_oracle(ex33):

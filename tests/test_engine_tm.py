@@ -14,7 +14,6 @@ from matchlog import (
     parse_atom,
     success_subtree,
     tm_prove,
-    tm_prove_all,
 )
 from matchlog.coalgebra import enumerate_terms, ground_lfp
 
@@ -54,14 +53,14 @@ def test_gc_generic_goal_stays_unknown(gc):
 
 
 def test_prove_all(listnat, bad):
-    assert tm_prove_all(listnat, [], 3) == ()
+    assert tuple(tm_prove(listnat, g, 3) for g in []) == ()
     goals = [parse_atom("nat(0)")[0], parse_atom("nat(nil)", listnat.signature)[0]]
-    statuses = [r.status for r in tm_prove_all(listnat, goals, 3)]
+    statuses = [tm_prove(listnat, g, 3).status for g in goals]
     assert statuses == [Status.PROVED, Status.FAILED]
     # exhaustive head scan: no clause head matches nat(nil)
     from matchlog import mgm
     assert all(mgm(c.head, goals[1]) is None for c in listnat.clauses)
-    assert [r.status for r in tm_prove_all(bad, [parse_atom("bad(X)")[0]], 10)] \
+    assert [tm_prove(bad, g, 10).status for g in [parse_atom("bad(X)")[0]]] \
         == [Status.UNKNOWN]
 
 
