@@ -3,8 +3,9 @@
 Subcommands: prove, solve, tree, check, classify. Exit codes for `prove`
 follow the three-valued verdict (0 proved, 1 failed, 2 unknown); `check`
 exits 0 exactly when no violations were found; usage errors, including
-out-of-range numeric bounds, exit 64; unreadable or malformed input, and
-terms nested too deeply to process, exit 65.
+out-of-range numeric bounds, exit 64; unreadable or malformed input, terms
+nested too deeply to process, and a lax or inj sweep with no square to
+check, exit 65.
 """
 
 from __future__ import annotations
@@ -63,7 +64,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="SLD resolution: computed answers")
     add_common(p_solve, goal=True)
-    p_solve.add_argument("--max-steps", type=positive, default=10_000)
+    p_solve.add_argument("--max-steps", type=positive, default=10_000,
+                         help="resolution steps allowed on each derivation (its "
+                              "length); not a bound on the total work")
     p_solve.add_argument("--max-answers", type=positive, default=1)
     p_solve.add_argument("--strategy", choices=["dfs", "iddfs"], default="iddfs")
 
@@ -84,7 +87,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="term depth bound for generated arrows")
     p_check.add_argument("--depth", type=positive, default=16,
                          help="term-matching depth for bridge checks")
-    p_check.add_argument("--max-steps", type=positive, default=10_000)
+    p_check.add_argument("--max-steps", type=positive, default=10_000,
+                         help="resolution steps allowed on each SLD derivation "
+                              "for bridge checks; not a bound on the total work")
     p_check.add_argument("--max-answers", type=positive, default=5)
     p_check.add_argument("--max-report", type=natural, default=20,
                          help="cap on printed witness lines")
@@ -161,6 +166,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.what in ("lax", "inj"):
         report = coalgebra.lax_sweep(program, max_arity=args.arity,
                                      term_depth=args.term_depth)
+        if report.squares_checked == 0:
+            print(f"matchlog: nothing to check: no atom or arrow is available "
+                  f"at arity {args.arity}", file=sys.stderr)
+            return EX_DATAERR
         strict_expected = args.what == "inj"
         witnesses = list(report.lax_failures + report.injection_failures)
         if not strict_expected:

@@ -1,11 +1,12 @@
 """SLD resolution with unification: enumerates computed answer substitutions.
 
-Selection is always the leftmost atom; clauses are tried in program order
-after being renamed apart from everything used so far. Answers are restricted
-to the query's own variables, canonically renamed, and deduplicated. Search
-is depth-first or iterative deepening (the default, so that looping programs
-still surface the answers a bounded search can reach); deepening doubles the
-step bound each sweep up to `max_steps`.
+Selection is always the leftmost atom; its candidate clauses
+(`Program.candidates`) are tried in program order after being renamed apart
+from everything used so far. Answers are restricted to the query's own
+variables, canonically renamed, and deduplicated. Search is depth-first or
+iterative deepening (the default, so that looping programs still surface the
+answers a bounded search can reach); deepening doubles the step bound each
+sweep up to `max_steps`.
 """
 
 from __future__ import annotations
@@ -21,6 +22,11 @@ from .syntax import Atom, Program, Term, Var, max_var, print_atom, rename, renum
 
 @dataclass(frozen=True)
 class SldLimits:
+    """Search bounds. `max_steps` caps the number of resolution steps on each
+    derivation, that is its length, not the total work of the search: every
+    step still tries each candidate clause, and the number of derivations
+    within the bound can grow exponentially with it."""
+
     max_steps: int = 10_000
     max_answers: int = 1
     strategy: str = "iddfs"  # "dfs" or "iddfs"
@@ -110,7 +116,8 @@ def sld_solve(program: Program, goals: Sequence[Atom],
                 continue
             selected = node.resolvent[0]
             children = []
-            for idx, clause in enumerate(program.clauses):
+            for idx in program.candidates(selected):
+                clause = program.clauses[idx]
                 renamed = rename_apart(clause, node.ceiling)
                 unifier = mgu(selected, renamed.head)
                 if unifier is None:

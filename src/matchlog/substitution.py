@@ -214,7 +214,8 @@ def instances(program: Program, atom: Atom,
     body-only variables to the fresh indices ceiling+1, ceiling+2, ..., and
     the body under that matcher.
     """
-    for idx, clause in enumerate(program.clauses):
+    for idx in program.candidates(atom):
+        clause = program.clauses[idx]
         theta = mgm(clause.head, atom)
         if theta is None:
             continue

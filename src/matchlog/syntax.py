@@ -213,6 +213,12 @@ def _note_atom(a: Atom, functors: dict[str, int], predicates: dict[str, int]) ->
         _note_term(t, functors)
 
 
+# Per predicate: all its clauses; per first-argument functor (name, arity), the
+# clauses whose head's first argument is that functor or a variable; and the
+# variable-first clauses alone. Every tuple is in program order.
+_PredIndex = tuple[tuple[int, ...], dict[tuple[str, int], tuple[int, ...]], tuple[int, ...]]
+
+
 def _signature(functors: dict[str, int], predicates: dict[str, int]) -> Signature:
     return Signature(tuple(sorted(functors.items())), tuple(sorted(predicates.items())))
 
@@ -241,6 +247,42 @@ class Program:
     def check_atom(self, a: Atom) -> None:
         """Raise ArityMismatchError if `a` conflicts with this program's signature."""
         _note_atom(a, dict(self.signature.functors), dict(self.signature.predicates))
+
+    @cached_property
+    def _first_arg_index(self) -> dict[str, _PredIndex]:
+        """First-argument clause index, built in one pass over the clauses."""
+        building: dict[str, tuple[list[int], dict[tuple[str, int], list[int]], list[int]]] = {}
+        for i, c in enumerate(self.clauses):
+            every, by_functor, var_first = building.setdefault(c.head.pred, ([], {}, []))
+            every.append(i)
+            first = c.head.args[0] if c.head.args else None
+            if isinstance(first, Fn):
+                key = (first.name, len(first.args))
+                bucket = by_functor.get(key)
+                if bucket is None:
+                    bucket = by_functor[key] = var_first.copy()
+                bucket.append(i)
+            else:
+                var_first.append(i)
+                for bucket in by_functor.values():
+                    bucket.append(i)
+        return {pred: (tuple(every), {k: tuple(b) for k, b in by_functor.items()},
+                       tuple(var_first))
+                for pred, (every, by_functor, var_first) in building.items()}
+
+    def candidates(self, a: Atom) -> tuple[int, ...]:
+        """Indices, increasing, of the clauses whose head can match or unify
+        with `a`: the clauses of `a`'s predicate, narrowed by the principal
+        functor of `a`'s first argument when it has one. Every clause left
+        out has a head whose `mgm` or `mgu` against `a` is None."""
+        entry = self._first_arg_index.get(a.pred)
+        if entry is None:
+            return ()
+        every, by_functor, var_first = entry
+        first = a.args[0] if a.args else None
+        if not isinstance(first, Fn):
+            return every
+        return by_functor.get((first.name, len(first.args)), var_first)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ loop, and tree shapes against a per-node re-scan of the clause list.
 from __future__ import annotations
 
 import itertools
+import pathlib
 import random
 
 from matchlog import (
@@ -26,6 +27,7 @@ from matchlog import (
     compose,
     arrow_apply,
     compose_arrows,
+    parse_program,
 )
 from matchlog.syntax import atom_vars, canonical_clause, max_var, print_term
 
@@ -119,6 +121,25 @@ def random_fo_program(rng: random.Random, existential: bool) -> Program:
     program = Program.of(clauses)
     assert any(c.is_existential for c in program.clauses) == existential
     return program
+
+
+def chain_edges(n: int) -> list[tuple[str, str]]:
+    """The path n0 -> n1 -> ... -> n`n`."""
+    return [(f"n{i}", f"n{i + 1}") for i in range(n)]
+
+
+def forest_edges(rng: random.Random, nodes: int) -> list[tuple[str, str]]:
+    """A random forest on n0..n`nodes-1`, edges pointing away from the roots,
+    in shuffled order."""
+    edges = [(f"n{rng.randrange(i)}", f"n{i}") for i in range(1, nodes) if rng.random() < 0.9]
+    rng.shuffle(edges)
+    return edges
+
+
+def edge_program(edges: list[tuple[str, str]]) -> Program:
+    """gc.lp's connectivity clauses followed by one `edge` fact per pair."""
+    source = (pathlib.Path(__file__).parent / "programs" / "gc.lp").read_text(encoding="utf-8")
+    return parse_program(source + "".join(f"edge({a}, {b}).\n" for a, b in edges))
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,18 @@ def test_check_inj(capsys):
     assert "STRICT OK" in out
 
 
+def test_check_with_nothing_to_check_is_a_data_error(capsys):
+    for program in ("gc.lp", "bad.lp"):
+        for what in ("lax", "inj"):
+            for fmt in ("ascii", "json"):
+                code, out, err = run(capsys, "check", PROGRAMS / program, "--what", what,
+                                     "--arity", "0", "--format", fmt)
+                assert code == 65 and out == ""
+                assert err.startswith("matchlog: ") and err.count("\n") == 1
+    code, out, _ = run(capsys, "check", PROGRAMS / "ex33.lp", "--what", "lax", "--arity", "0")
+    assert code == 0 and out.startswith("checked 4 squares") and "LAX OK" in out
+
+
 def test_check_bridge(capsys):
     code, out, _ = run(capsys, "check", PROGRAMS / "gc.lp", "--what", "bridge",
                        "--max-steps", "200")

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from matchlog import engine_sld
 from matchlog import (
     Fn,
     SldLimits,
@@ -18,7 +19,7 @@ from matchlog import (
     sld_solve,
 )
 
-from helpers import random_fo_program
+from helpers import chain_edges, edge_program, random_fo_program
 
 
 def test_gc_first_answer(gc):
@@ -161,3 +162,20 @@ def test_bridge_never_fails_on_random_programs():
                 program.signature)
             report = check_bridge(program, g, SldLimits(max_steps=12, max_answers=3))
             assert report.violations == ()
+
+
+def test_step_unifies_only_clauses_that_can_fit(monkeypatch):
+    program = edge_program(chain_edges(200))
+    outcomes = {True: 0, False: 0}
+    real_mgu = engine_sld.mgu
+
+    def counting_mgu(a, b):
+        unifier = real_mgu(a, b)
+        outcomes[unifier is not None] += 1
+        return unifier
+
+    monkeypatch.setattr(engine_sld, "mgu", counting_mgu)
+    g, _ = parse_atom("connected(n0, Y)", program.signature)
+    result = sld_solve(program, [g], SldLimits(max_answers=201, strategy="dfs"))
+    assert len(result.answers) == 201
+    assert outcomes[False] <= outcomes[True]

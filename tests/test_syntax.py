@@ -13,15 +13,23 @@ from matchlog import (
     ParseError,
     Var,
     classify_program,
+    mgm,
+    mgu,
     parse_atom,
     parse_goal,
     parse_program,
     print_atom,
     print_program,
+    rename_apart,
 )
-from matchlog.syntax import atom_vars, canonical_clause
+from matchlog.syntax import atom_vars, canonical_clause, max_var
 
-from helpers import random_fo_program, random_ground_program
+from helpers import (
+    edge_program,
+    forest_edges,
+    random_fo_program,
+    random_ground_program,
+)
 
 
 def test_parse_fact():
@@ -168,3 +176,38 @@ def test_name_shared_between_predicate_and_functor_roles():
     assert p.signature.predicate_arities["f"] == 1
     assert p.signature.functor_arities["f"] == 1
     assert parse_program(print_program(p)).clauses == p.clauses
+
+
+def _random_signature_atom(rng, program, pred, arity):
+    """An atom over the program's signature, with variables and with functors
+    that head no clause (`nohead`, `nohead1/1`) mixed in."""
+    functors = list(program.signature.functors) + [("nohead", 0), ("nohead1", 1)]
+
+    def term(depth):
+        if rng.random() < 0.3:
+            return Var(rng.randint(1, 3))
+        name, n = rng.choice(functors if depth > 1 else
+                             [f for f in functors if f[1] == 0])
+        return Fn(name, tuple(term(depth - 1) for _ in range(n)))
+
+    return Atom(pred, tuple(term(3) for _ in range(arity)))
+
+
+def test_candidates_cover_every_matching_and_unifying_clause(
+        listnat, listnat_plus, gc, bad, ex33):
+    rng = random.Random(3)
+    programs = [listnat, listnat_plus, gc, bad, ex33]
+    programs += [random_fo_program(random.Random(seed), seed % 2 == 0) for seed in range(24)]
+    programs.append(edge_program(forest_edges(random.Random(7), 60)))
+    for program in programs:
+        preds = list(program.signature.predicates) + [("nopred", 1)]
+        for _ in range(40):
+            a = _random_signature_atom(rng, program, *rng.choice(preds))
+            got = program.candidates(a)
+            assert all(i < j for i, j in zip(got, got[1:]))
+            assert all(program.clauses[i].head.pred == a.pred for i in got)
+            for i, clause in enumerate(program.clauses):
+                if mgm(clause.head, a) is not None:
+                    assert i in got, (print_atom(a), i)
+                if mgu(a, rename_apart(clause, max_var(a)).head) is not None:
+                    assert i in got, (print_atom(a), i)
