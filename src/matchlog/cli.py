@@ -130,9 +130,9 @@ def _cmd_prove(args: argparse.Namespace) -> int:
     program = _load_program(args.program)
     goal = syntax.parse_goal(args.goal, program.signature)
     result = engine_tm.tm_prove(program, goal.atom, args.depth)
-    print(str(result.status))
-    if result.proof is not None:
-        sys.stdout.write(cotree.render(result.proof, args.format))
+    # Render before printing, so a proof too deep to render prints nothing.
+    proof = "" if result.proof is None else cotree.render(result.proof, args.format)
+    sys.stdout.write(str(result.status) + "\n" + proof)
     return _STATUS_EXIT[result.status]
 
 
@@ -143,10 +143,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                                   max_answers=args.max_answers,
                                   strategy=args.strategy)
     result = engine_sld.sld_solve(program, goal.atoms, limits)
-    for answer in result.answers:
-        print(_format_answer(answer.bindings, goal.var_names))
+    lines = [_format_answer(answer.bindings, goal.var_names) for answer in result.answers]
     if result.exhausted:
-        print("%% bound reached")
+        lines.append("%% bound reached")
+    sys.stdout.write("".join(line + "\n" for line in lines))
     return 0
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .cotree import AndNode, OrNode, ProofTree, Status
 from .substitution import instances
-from .syntax import Atom, Program, max_var, renumbering, rename_atom
+from .syntax import Atom, Program, renumbering, rename_atom
 
 
 @dataclass(frozen=True)
@@ -42,18 +42,20 @@ def tm_prove(program: Program, goal: Atom, depth: int) -> TmResult:
     if depth < 1:
         raise ValueError("depth must be >= 1")
     program.check_atom(goal)
-    base = max_var(goal)
+    base = goal.max_var
     memo: dict[tuple[Atom, int], Status] = {}
 
     def status(atom: Atom, remaining: int) -> Status:
         if remaining == 0:
             return Status.UNKNOWN
-        key = (rename_atom(atom, renumbering(base, {})), remaining)
+        top = atom.max_var
+        # renumbering(base) is the identity on an atom over x1..x`base`.
+        key = (atom if top <= base else rename_atom(atom, renumbering(base, {})), remaining)
         hit = memo.get(key)
         if hit is not None:
             return hit
         best = None
-        for _, _, body in instances(program, atom, max(base, max_var(atom))):
+        for _, _, body in instances(program, atom, max(base, top)):
             branch = Status.PROVED
             for sub in body:
                 branch = min(branch, status(sub, remaining - 1))
@@ -63,12 +65,12 @@ def tm_prove(program: Program, goal: Atom, depth: int) -> TmResult:
             if best is Status.PROVED:
                 break
         if best is None:
-            best = Status.UNKNOWN if max_var(atom) > base else Status.FAILED
+            best = Status.UNKNOWN if top > base else Status.FAILED
         memo[key] = best
         return best
 
     def extract(atom: Atom, remaining: int) -> AndNode:
-        for idx, theta, body in instances(program, atom, max(base, max_var(atom))):
+        for idx, theta, body in instances(program, atom, max(base, atom.max_var)):
             if all(status(sub, remaining - 1) is Status.PROVED for sub in body):
                 kids = tuple(extract(sub, remaining - 1) for sub in body)
                 return AndNode(atom, (OrNode(idx, theta, kids),), False)

@@ -40,7 +40,10 @@ class Substitution:
     __slots__ = ("_bindings",)
 
     def __init__(self, bindings: Mapping[int, Term] | Iterable[tuple[int, Term]] = ()) -> None:
-        items = bindings.items() if isinstance(bindings, Mapping) else bindings
+        # Every caller in the package passes a dict; test for it before the
+        # slower Mapping ABC check.
+        items = (bindings.items() if type(bindings) is dict or isinstance(bindings, Mapping)
+                 else bindings)
         self._bindings = {
             i: t for i, t in items if not (isinstance(t, Var) and t.index == i)
         }
@@ -214,7 +217,7 @@ def instances(program: Program, atom: Atom,
     body-only variables to the fresh indices ceiling+1, ceiling+2, ..., and
     the body under that matcher.
     """
-    for idx in program.candidates(atom):
+    for idx in program.candidates(atom, matching=True):
         clause = program.clauses[idx]
         theta = mgm(clause.head, atom)
         if theta is None:

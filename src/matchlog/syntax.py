@@ -43,42 +43,126 @@ class ArityMismatchError(Exception):
 # Terms and atoms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Var:
+# Terms and atoms are immutable. Each node caches its hash and `max_var` (the
+# largest variable index in it, 0 when ground), computed once at construction
+# from its children's cached values, so hashing, equality on unequal terms,
+# `max_var` and the ground test never walk the term again (cf. Filliatre and
+# Conchon, "Type-safe modular hash-consing", 2006, without the intern table).
+# A node's hash is the hash of its field tuple, e.g. hash((name, args)).
+
+_init_slot = object.__setattr__
+
+
+class _Node:
+    __slots__ = ("max_var", "_hash")
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Var(_Node):
     """Variable with a 1-based index."""
 
-    index: int
+    __slots__ = ("index",)
+
+    def __init__(self, index: int) -> None:
+        if index < 1:
+            raise ValueError(f"variable index must be >= 1, got {index}")
+        _init_slot(self, "index", index)
+        _init_slot(self, "max_var", index)
+        _init_slot(self, "_hash", hash((index,)))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Var:
+            return NotImplemented
+        return self.index == other.index
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Var(index={self.index!r})"
 
 
-@dataclass(frozen=True)
-class Fn:
+class Fn(_Node):
     """Functor applied to argument terms; a constant has no arguments."""
 
-    name: str
-    args: tuple["Term", ...] = ()
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: tuple["Term", ...] = ()) -> None:
+        top = 0
+        for a in args:
+            if a.max_var > top:
+                top = a.max_var
+        _init_slot(self, "name", name)
+        _init_slot(self, "args", args)
+        _init_slot(self, "max_var", top)
+        _init_slot(self, "_hash", hash((name, args)))
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if type(other) is not Fn:
+            return NotImplemented
+        return (self._hash == other._hash and self.name == other.name
+                and self.args == other.args)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Fn(name={self.name!r}, args={self.args!r})"
 
 
 Term = Union[Var, Fn]
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(_Node):
     """Predicate applied to terms; goals and clause heads are atoms."""
 
-    pred: str
-    args: tuple[Term, ...] = ()
+    __slots__ = ("pred", "args")
+
+    def __init__(self, pred: str, args: tuple[Term, ...] = ()) -> None:
+        top = 0
+        for a in args:
+            if a.max_var > top:
+                top = a.max_var
+        _init_slot(self, "pred", pred)
+        _init_slot(self, "args", args)
+        _init_slot(self, "max_var", top)
+        _init_slot(self, "_hash", hash((pred, args)))
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if type(other) is not Atom:
+            return NotImplemented
+        return (self._hash == other._hash and self.pred == other.pred
+                and self.args == other.args)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Atom(pred={self.pred!r}, args={self.args!r})"
 
 
 def rename(t: Term, var_fn: Callable[[Var], Term]) -> Term:
-    """Rebuild `t` with every variable v replaced by var_fn(v)."""
-    if isinstance(t, Var):
+    """Rebuild `t` with every variable v replaced by var_fn(v); a ground `t`
+    is returned as it is."""
+    if type(t) is Var:
         return var_fn(t)
-    if not t.args:
+    if not t.max_var:
         return t
     return Fn(t.name, tuple([rename(a, var_fn) for a in t.args]))
 
 
 def rename_atom(a: Atom, var_fn: Callable[[Var], Term]) -> Atom:
+    if not a.max_var:
+        return a
     return Atom(a.pred, tuple([rename(t, var_fn) for t in a.args]))
 
 
@@ -102,9 +186,9 @@ def renumbering(base: int, seen: dict[int, Var]) -> Callable[[Var], Term]:
 
 
 def term_vars(t: Term) -> Iterator[int]:
-    if isinstance(t, Var):
+    if type(t) is Var:
         yield t.index
-    else:
+    elif t.max_var:
         for a in t.args:
             yield from term_vars(a)
 
@@ -116,11 +200,9 @@ def atom_vars(a: Atom) -> Iterator[int]:
 
 def max_var(x: Term | Atom | Iterable[Atom]) -> int:
     """Largest variable index occurring in x, or 0 if x is ground."""
-    if isinstance(x, (Var, Fn)):
-        return max(term_vars(x), default=0)
-    if isinstance(x, Atom):
-        return max(atom_vars(x), default=0)
-    return max((max_var(a) for a in x), default=0)
+    if isinstance(x, _Node):
+        return x.max_var
+    return max((a.max_var for a in x), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -270,19 +352,23 @@ class Program:
                        tuple(var_first))
                 for pred, (every, by_functor, var_first) in building.items()}
 
-    def candidates(self, a: Atom) -> tuple[int, ...]:
+    def candidates(self, a: Atom, matching: bool = False) -> tuple[int, ...]:
         """Indices, increasing, of the clauses whose head can match or unify
         with `a`: the clauses of `a`'s predicate, narrowed by the principal
         functor of `a`'s first argument when it has one. Every clause left
-        out has a head whose `mgm` or `mgu` against `a` is None."""
+        out has a head whose `mgm` or `mgu` against `a` is None.
+
+        With `matching`, only heads that can match `a` one way are kept: for
+        a variable first argument that leaves the variable-first clauses,
+        since no functor matches onto a variable."""
         entry = self._first_arg_index.get(a.pred)
         if entry is None:
             return ()
         every, by_functor, var_first = entry
         first = a.args[0] if a.args else None
-        if not isinstance(first, Fn):
-            return every
-        return by_functor.get((first.name, len(first.args)), var_first)
+        if isinstance(first, Fn):
+            return by_functor.get((first.name, len(first.args)), var_first)
+        return var_first if matching else every
 
 
 @dataclass(frozen=True)

@@ -161,6 +161,21 @@ def atom_subterms(a: Atom) -> set[Term]:
     return out
 
 
+def max_var_oracle(x: Term | Atom) -> int:
+    """Largest variable index in a term or atom, by a full recursive walk."""
+    if isinstance(x, Var):
+        return x.index
+    return max((max_var_oracle(a) for a in x.args), default=0)
+
+
+def rebuilt(x: Term | Atom) -> Term | Atom:
+    """A structurally equal copy of a term or atom that shares no node with it."""
+    if isinstance(x, Var):
+        return Var(x.index)
+    args = tuple(rebuilt(a) for a in x.args)
+    return Atom(x.pred, args) if isinstance(x, Atom) else Fn(x.name, args)
+
+
 def enumerate_matchers(pattern: Atom, target: Atom) -> list[Substitution]:
     """All substitutions on vars(pattern) into subterms of the target that
     send the pattern exactly onto the target."""

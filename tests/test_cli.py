@@ -164,10 +164,18 @@ def test_bad_numeric_bounds_are_usage_errors(capsys):
 
 
 def test_deep_terms_exit_cleanly(capsys):
-    deep = "s(" * 300 + "0" + ")" * 300
+    deep = "s(" * 1000 + "0" + ")" * 1000
     code, out, err = run(capsys, "prove", PROGRAMS / "listnat.lp", f"nat({deep})",
-                         "--depth", "400")
+                         "--depth", "1002")
     assert (code, out, err) == (65, "", "matchlog: term nested too deeply to process\n")
     code, out, err = run(capsys, "solve", PROGRAMS / "listnat.lp", "nat(X)",
                          "--max-answers", "600")
     assert (code, out, err) == (65, "", "matchlog: term nested too deeply to process\n")
+
+
+def test_terms_nested_300_deep_are_proved(capsys):
+    # Hashing a term reads its cached hash instead of recursing, so this depth answers.
+    deep = "s(" * 300 + "0" + ")" * 300
+    code, out, err = run(capsys, "prove", PROGRAMS / "listnat.lp", f"nat({deep})",
+                         "--depth", "400")
+    assert (code, out.splitlines()[0], err) == (0, "Proved", "")

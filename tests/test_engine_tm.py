@@ -8,6 +8,8 @@ import pytest
 
 from matchlog import (
     ArrowSubstitution,
+    Atom,
+    Fn,
     Status,
     arrow_apply,
     build_tree,
@@ -159,3 +161,27 @@ def test_ground_agreement_with_fixpoint(ex33):
         depth = len(atoms) + 1
         for atom in atoms:
             assert tm_prove(program, atom, depth).is_proved == (atom in entailed)
+
+
+def test_proof_steps_build_no_terms(listnat, monkeypatch):
+    """Memo keys of atoms over the goal's variables are the atoms themselves,
+    and matching reuses the goal's subterms, so the number of `Fn`
+    constructions does not grow with the goal."""
+    counts = {}
+    for n in (50, 200):
+        goal = Fn("0")
+        for _ in range(n):
+            goal = Fn("s", (goal,))
+        goal = Atom("nat", (goal,))
+        built = [0]
+        init = Fn.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built[0] += 1
+            init(self, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Fn, "__init__", counting_init)
+            assert tm_prove(listnat, goal, n + 1).is_proved
+        counts[n] = built[0]
+    assert counts[50] == counts[200], counts

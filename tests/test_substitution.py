@@ -45,6 +45,14 @@ def test_identity_bindings_are_dropped():
     assert s.domain() == frozenset({2})
 
 
+def test_substitution_accepts_any_mapping_or_pairs():
+    from types import MappingProxyType
+    expected = Substitution({2: Fn("0")})
+    assert Substitution(MappingProxyType({1: Var(1), 2: Fn("0")})) == expected
+    assert Substitution([(1, Var(1)), (2, Fn("0"))]) == expected
+    assert Substitution(iter([(2, Fn("0"))])) == expected
+
+
 def test_compose_examples():
     s = Substitution({1: Fn("0")})
     assert compose(Substitution.identity(), s) == s

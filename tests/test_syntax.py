@@ -11,7 +11,9 @@ from matchlog import (
     Atom,
     Fn,
     ParseError,
+    Substitution,
     Var,
+    apply,
     classify_program,
     mgm,
     mgu,
@@ -20,15 +22,21 @@ from matchlog import (
     parse_program,
     print_atom,
     print_program,
+    print_term,
+    rename,
     rename_apart,
 )
-from matchlog.syntax import atom_vars, canonical_clause, max_var
+from matchlog.syntax import atom_vars, canonical_clause, max_var, rename_atom
 
 from helpers import (
     edge_program,
     forest_edges,
+    max_var_oracle,
+    random_atom,
     random_fo_program,
     random_ground_program,
+    random_term,
+    rebuilt,
 )
 
 
@@ -206,8 +214,72 @@ def test_candidates_cover_every_matching_and_unifying_clause(
             got = program.candidates(a)
             assert all(i < j for i, j in zip(got, got[1:]))
             assert all(program.clauses[i].head.pred == a.pred for i in got)
+            matching = program.candidates(a, matching=True)
+            assert all(i < j for i, j in zip(matching, matching[1:]))
+            assert set(matching) <= set(got)
+            if a.args and isinstance(a.args[0], Var):
+                assert not any(isinstance(program.clauses[i].head.args[0], Fn)
+                               for i in matching)
             for i, clause in enumerate(program.clauses):
                 if mgm(clause.head, a) is not None:
-                    assert i in got, (print_atom(a), i)
+                    assert i in matching, (print_atom(a), i)
                 if mgu(a, rename_apart(clause, max_var(a)).head) is not None:
                     assert i in got, (print_atom(a), i)
+
+
+# ---------------------------------------------------------------------------
+# Term representation
+# ---------------------------------------------------------------------------
+
+def _random_terms_and_atoms(seed, count=300):
+    rng = random.Random(seed)
+    for _ in range(count):
+        nvars = rng.randint(0, 4)
+        depth = rng.randint(1, 5)
+        yield random_term(rng, nvars, depth)
+        yield random_atom(rng, nvars, depth)
+
+
+def test_cached_max_var_matches_a_recursive_oracle():
+    for x in _random_terms_and_atoms(11):
+        assert x.max_var == max_var(x) == max_var_oracle(x), repr(x)
+    deep = Fn("0")
+    for _ in range(5000):
+        deep = Fn("s", (deep,))
+    assert Atom("nat", (Fn("f", (deep, Var(7))),)).max_var == 7
+
+
+def test_equal_terms_built_independently_are_equal_with_equal_hashes():
+    draws = list(_random_terms_and_atoms(12))
+    for x in draws:
+        copy = rebuilt(x)
+        assert copy == x and not copy != x
+        assert hash(copy) == hash(x)
+    # Unequal terms compare unequal: printing is an independent structural key.
+    terms = [x for x in draws if not isinstance(x, Atom)]
+    for a, b in zip(terms, terms[1:]):
+        assert (a == b) == (print_term(a) == print_term(b))
+    assert Var(1) != Fn("a") and Fn("p") != Atom("p") and Var(2) != 2
+
+
+def test_terms_are_immutable():
+    for x in (Var(3), Fn("f", (Var(1), Fn("a"))), Atom("p", (Fn("a"),))):
+        for name in ("index", "name", "pred", "args", "max_var", "_hash", "other"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, None)
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+    with pytest.raises(ValueError):
+        Var(0)
+
+
+def test_ground_input_is_returned_unchanged():
+    rng = random.Random(13)
+    fail = Substitution({1: Fn("b")})
+    for _ in range(200):
+        t = random_term(rng, 0, rng.randint(1, 5))
+        a = random_atom(rng, 0, rng.randint(1, 4))
+        assert rename(t, lambda v: Fn("b")) is t
+        assert rename_atom(a, lambda v: Fn("b")) is a
+        assert apply(fail, t) is t and apply(fail, a) is a
+        assert all(x is y for x, y in zip(apply(fail, (a, a)), (a, a)))
