@@ -57,7 +57,7 @@ from .cotree import (
     tree_leq,
     truncate_tree,
 )
-from .engine_tm import TmResult, tm_prove
+from .engine_tm import tm_prove
 from .engine_sld import (
     Answer,
     BridgeReport,

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 from . import coalgebra, cotree, engine_sld, engine_tm, syntax
 from .cotree import Status
 from .substitution import Substitution
-from .syntax import ArityMismatchError, ParseError, Program, Term, Var, print_atom
+from .syntax import ArityMismatchError, ParseError, Program, print_atom, print_term
 
 EX_USAGE = 64
 EX_DATAERR = 65
@@ -105,24 +105,18 @@ def _load_program(path: str) -> Program:
         return syntax.parse_program(fh.read())
 
 
-def _surface_term(t: Term, names: Sequence[str]) -> str:
-    def free_name(index: int) -> str:
+def _format_answer(bindings: Substitution, names: Sequence[str]) -> str:
+    def name(index: int) -> str:
+        """The goal's own spelling, or _G<k> for the k-th residual variable,
+        prefixed with '_' until it clashes with no goal variable."""
+        if index <= len(names):
+            return names[index - 1]
         candidate = f"_G{index - len(names)}"
         while candidate in names:
             candidate = "_" + candidate
         return candidate
 
-    if isinstance(t, Var):
-        if t.index <= len(names):
-            return names[t.index - 1]
-        return free_name(t.index)
-    if not t.args:
-        return t.name
-    return f"{t.name}({', '.join(_surface_term(a, names) for a in t.args)})"
-
-
-def _format_answer(bindings: Substitution, names: Sequence[str]) -> str:
-    parts = [f"{names[i - 1]} -> {_surface_term(t, names)}" for i, t in bindings.items()]
+    parts = [f"{names[i - 1]} -> {print_term(t, name)}" for i, t in bindings.items()]
     return "{" + ", ".join(parts) + "}"
 
 

@@ -28,7 +28,6 @@ from .syntax import (
     Atom,
     Program,
     Signature,
-    Var,
     max_var,
     parse_canonical_atom,
     parse_canonical_term,
@@ -36,6 +35,7 @@ from .syntax import (
     print_term,
     rename,
     rename_atom,
+    renumbering,
     var_name,
 )
 from .substitution import Substitution, ArrowSubstitution, instances
@@ -94,8 +94,14 @@ class ProofTree:
 
 @dataclass(frozen=True)
 class TreeOutcome:
+    """A three-valued verdict, with a proof when it is Proved."""
+
     status: Status
     proof: ProofTree | None = None
+
+    @property
+    def is_proved(self) -> bool:
+        return self.status is Status.PROVED
 
 
 # ---------------------------------------------------------------------------
@@ -266,47 +272,24 @@ def tree_equal_upto_renaming(a: CoTree, b: CoTree) -> bool:
     """Structural equality modulo a bijective renaming of fresh variables.
 
     Base variables must agree literally; matchers are bookkeeping and are
-    not compared.
+    not compared. Both trees are visited in lockstep with their fresh
+    variables renumbered by first occurrence, so the renamed atoms are equal
+    exactly when such a bijection exists.
     """
     if a.base != b.base:
         return False
-    base = a.base
-    fwd: dict[int, int] = {}
-    bwd: dict[int, int] = {}
-
-    def eq_term(s, t) -> bool:
-        if isinstance(s, Var) or isinstance(t, Var):
-            if not (isinstance(s, Var) and isinstance(t, Var)):
-                return False
-            i, j = s.index, t.index
-            if i <= base or j <= base:
-                return i == j
-            if fwd.setdefault(i, j) != j or bwd.setdefault(j, i) != i:
-                return False
-            return True
-        if s.name != t.name or len(s.args) != len(t.args):
-            return False
-        return all(eq_term(x, y) for x, y in zip(s.args, t.args))
-
-    def eq_atom(s: Atom, t: Atom) -> bool:
-        return (s.pred == t.pred and len(s.args) == len(t.args)
-                and all(eq_term(x, y) for x, y in zip(s.args, t.args)))
-
-    def eq_and(x: AndNode, y: AndNode) -> bool:
-        if x.truncated != y.truncated or len(x.children) != len(y.children):
-            return False
-        if not eq_atom(x.atom, y.atom):
+    fresh_a, fresh_b = renumbering(a.base, {}), renumbering(b.base, {})
+    stack = [(a.root, b.root)]
+    while stack:
+        x, y = stack.pop()
+        if (x.truncated != y.truncated or len(x.children) != len(y.children)
+                or rename_atom(x.atom, fresh_a) != rename_atom(y.atom, fresh_b)):
             return False
         for ox, oy in zip(x.children, y.children):
-            if ox.clause_index != oy.clause_index:
+            if ox.clause_index != oy.clause_index or len(ox.children) != len(oy.children):
                 return False
-            if len(ox.children) != len(oy.children):
-                return False
-            if not all(eq_and(cx, cy) for cx, cy in zip(ox.children, oy.children)):
-                return False
-        return True
-
-    return eq_and(a.root, b.root)
+            stack.extend(zip(ox.children, oy.children))
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,9 @@ from .engine_tm import tm_prove
 from .substitution import Substitution, apply, compose, mgu, rename_apart
 from .syntax import Atom, Program, Term, Var, max_var, print_atom, rename, renumbering
 
+# The answer atom's predicate: no parsed program or goal can spell it.
+_ANSWER = ""
+
 
 @dataclass(frozen=True)
 class SldLimits:
@@ -57,29 +60,12 @@ class SldResult:
     exhausted: bool  # True when the step bound cut off unexplored derivations
 
 
-def _canonical_answer(sigma: Substitution, n0: int) -> Substitution:
-    """Restrict to query variables 1..n0 and renumber residual free variables."""
+def _canonical_answer(images: Sequence[Term]) -> Substitution:
+    """The answer whose query variable x_i is sent to images[i-1], with
+    residual free variables renumbered by first occurrence above the query's."""
+    n0 = len(images)
     var_fn = renumbering(n0, {})
-    out: dict[int, Term] = {}
-    for i in range(1, n0 + 1):
-        t = apply(sigma, Var(i))
-        if t != Var(i):
-            out[i] = rename(t, var_fn)
-    return Substitution(out)
-
-
-@dataclass(frozen=True)
-class _Node:
-    resolvent: tuple[Atom, ...]
-    sigma: Substitution  # running answer, kept restricted to the query variables
-    ceiling: int
-    steps: int
-    trace: tuple[tuple[int, int], ...]
-
-
-def _advance(sigma: Substitution, unifier: Substitution, n0: int) -> Substitution:
-    """Push one resolution step through the restricted answer substitution."""
-    return Substitution({i: apply(unifier, sigma.get(i)) for i in range(1, n0 + 1)})
+    return Substitution({i: rename(t, var_fn) for i, t in enumerate(images, 1)})
 
 
 def sld_solve(program: Program, goals: Sequence[Atom],
@@ -90,6 +76,10 @@ def sld_solve(program: Program, goals: Sequence[Atom],
     for g in goals:
         program.check_atom(g)
     n0 = max_var(goals)
+    # The answer atom ends every resolvent and is never selected: the one
+    # `apply` that instantiates a resolvent also carries the answer, and a
+    # resolvent holding only this atom is a success.
+    answer_atom = Atom(_ANSWER, tuple(Var(i) for i in range(1, n0 + 1)))
 
     answers: list[Answer] = []
     seen: set[Substitution] = set()
@@ -100,36 +90,32 @@ def sld_solve(program: Program, goals: Sequence[Atom],
         Returns True when some derivation was cut off by the budget.
         """
         cutoff = False
-        stack = [_Node(goals, Substitution.identity(), n0, 0, ())]
+        # A node is (resolvent, ceiling, steps, trace).
+        stack = [(goals + (answer_atom,), n0, 0, ())]
         while stack:
-            node = stack.pop()
-            if not node.resolvent:
-                restricted = _canonical_answer(node.sigma, n0)
+            resolvent, ceiling, steps, trace = stack.pop()
+            if len(resolvent) == 1:
+                restricted = _canonical_answer(resolvent[0].args)
                 if restricted not in seen:
                     seen.add(restricted)
-                    answers.append(Answer(restricted, node.steps, node.trace))
+                    answers.append(Answer(restricted, steps, trace))
                     if len(answers) >= limits.max_answers:
                         return cutoff
                 continue
-            if node.steps >= budget:
+            if steps >= budget:
                 cutoff = True
                 continue
-            selected = node.resolvent[0]
+            selected = resolvent[0]
             children = []
             for idx in program.candidates(selected):
                 clause = program.clauses[idx]
-                renamed = rename_apart(clause, node.ceiling)
+                renamed = rename_apart(clause, ceiling)
                 unifier = mgu(selected, renamed.head)
                 if unifier is None:
                     continue
-                resolvent = apply(unifier, renamed.body + node.resolvent[1:])
-                children.append(_Node(
-                    resolvent,
-                    _advance(node.sigma, unifier, n0),
-                    node.ceiling + clause.var_count,
-                    node.steps + 1,
-                    node.trace + ((idx, node.ceiling),),
-                ))
+                children.append((apply(unifier, renamed.body + resolvent[1:]),
+                                 ceiling + clause.var_count, steps + 1,
+                                 trace + ((idx, ceiling),)))
             stack.extend(reversed(children))
         return cutoff
 
@@ -171,7 +157,7 @@ def replay_trace(program: Program, goals: Sequence[Atom], answer: Answer) -> Sub
         sigma = compose(unifier, sigma)
     if resolvent:
         raise ValueError("trace ends on a non-empty goal")
-    return _canonical_answer(sigma, max_var(tuple(goals)))
+    return _canonical_answer([sigma.get(i) for i in range(1, max_var(tuple(goals)) + 1)])
 
 
 # ---------------------------------------------------------------------------

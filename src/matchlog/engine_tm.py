@@ -15,24 +15,12 @@ cross-checked in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .cotree import AndNode, OrNode, ProofTree, Status
+from .cotree import AndNode, OrNode, ProofTree, Status, TreeOutcome
 from .substitution import instances
 from .syntax import Atom, Program, renumbering, rename_atom
 
 
-@dataclass(frozen=True)
-class TmResult:
-    status: Status
-    proof: ProofTree | None = None
-
-    @property
-    def is_proved(self) -> bool:
-        return self.status is Status.PROVED
-
-
-def tm_prove(program: Program, goal: Atom, depth: int) -> TmResult:
+def tm_prove(program: Program, goal: Atom, depth: int) -> TreeOutcome:
     """Decide entailment of `goal` up to `depth` clause applications.
 
     Clauses are tried in program order, subgoals left to right. Statuses of
@@ -78,5 +66,5 @@ def tm_prove(program: Program, goal: Atom, depth: int) -> TmResult:
 
     outcome = status(goal, depth)
     if outcome is Status.PROVED:
-        return TmResult(outcome, ProofTree(extract(goal, depth), base))
-    return TmResult(outcome)
+        return TreeOutcome(outcome, ProofTree(extract(goal, depth), base))
+    return TreeOutcome(outcome)

@@ -163,11 +163,9 @@ def mgu(a: Atom, b: Atom) -> Substitution | None:
                 return None
             stack.extend(zip(x.args, y.args))
 
-    def resolve(t: Term) -> Term:
-        t = walk(t)
-        if isinstance(t, Fn):
-            return Fn(t.name, tuple(resolve(a) for a in t.args))
-        return t
+    def resolve(v: Var) -> Term:
+        t = walk(v)
+        return t if isinstance(t, Var) else rename(t, resolve)
 
     return Substitution({i: resolve(Var(i)) for i in bind})
 

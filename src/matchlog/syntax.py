@@ -586,12 +586,26 @@ def var_name(index: int) -> str:
     return f"X{index}"
 
 
-def print_term(t: Term) -> str:
-    if isinstance(t, Var):
-        return var_name(t.index)
-    if not t.args:
-        return t.name
-    return f"{t.name}({', '.join(print_term(a) for a in t.args)})"
+def print_term(t: Term, name: Callable[[int], str] = var_name) -> str:
+    """Surface text of `t`, with `name(i)` for the variable of index i. The
+    walk keeps its own stack, so it does not recurse on term depth."""
+    out: list[str] = []
+    stack: list[Term | str] = [t]
+    while stack:
+        x = stack.pop()
+        if type(x) is str:
+            out.append(x)
+        elif type(x) is Var:
+            out.append(name(x.index))
+        elif not x.args:
+            out.append(x.name)
+        else:
+            out.append(x.name + "(")
+            stack.append(")")
+            for a in reversed(x.args[1:]):
+                stack += (a, ", ")
+            stack.append(x.args[0])
+    return "".join(out)
 
 
 def print_atom(a: Atom) -> str:

@@ -176,6 +176,15 @@ def rebuilt(x: Term | Atom) -> Term | Atom:
     return Atom(x.pred, args) if isinstance(x, Atom) else Fn(x.name, args)
 
 
+def print_term_oracle(t: Term, name=lambda i: f"X{i}") -> str:
+    """Surface text of a term, by a recursive walk."""
+    if isinstance(t, Var):
+        return name(t.index)
+    if not t.args:
+        return t.name
+    return t.name + "(" + ", ".join(print_term_oracle(a, name) for a in t.args) + ")"
+
+
 def enumerate_matchers(pattern: Atom, target: Atom) -> list[Substitution]:
     """All substitutions on vars(pattern) into subterms of the target that
     send the pattern exactly onto the target."""

@@ -179,3 +179,22 @@ def test_terms_nested_300_deep_are_proved(capsys):
     code, out, err = run(capsys, "prove", PROGRAMS / "listnat.lp", f"nat({deep})",
                          "--depth", "400")
     assert (code, out.splitlines()[0], err) == (0, "Proved", "")
+
+
+def test_terms_nested_340_deep_are_proved(capsys):
+    # Printing keeps its own stack, so an atom this deep renders.
+    deep = "s(" * 340 + "0" + ")" * 340
+    code, out, err = run(capsys, "prove", PROGRAMS / "listnat.lp", f"nat({deep})",
+                         "--depth", "342")
+    assert (code, out.splitlines()[0], err) == (0, "Proved", "")
+    assert out.splitlines()[1] == f"nat({deep})"
+
+
+def test_solve_names_residual_variables(capsys, tmp_path):
+    program = tmp_path / "residual.lp"
+    program.write_text("p(f(Z)).\nq(g(A, B)).\n")
+    for goal, expected in [("p(X)", "{X -> f(_G1)}"),
+                           ("p(_G1)", "{_G1 -> f(__G1)}"),
+                           ("q(X)", "{X -> g(_G1, _G2)}")]:
+        code, out, err = run(capsys, "solve", program, goal)
+        assert (code, out, err) == (0, expected + "\n", ""), goal

@@ -247,22 +247,36 @@ def test_tree_equal_upto_renaming(gc):
     g, n = _goal("connected(X, Y)")
     t = build_tree(gc, g, n, 2)
 
-    def shift_fresh(node, by):
+    def remap(node, image):
         def sh(term):
             if isinstance(term, Var):
-                return Var(term.index + by) if term.index > n else term
+                return Var(image(term.index))
             return Fn(term.name, tuple(sh(a) for a in term.args))
 
         return AndNode(
             Atom(node.atom.pred, tuple(sh(t) for t in node.atom.args)),
-            tuple(OrNode(o.clause_index, o.matcher, tuple(shift_fresh(c, by) for c in o.children))
+            tuple(OrNode(o.clause_index, o.matcher, tuple(remap(c, image) for c in o.children))
                   for o in node.children),
             node.truncated,
         )
 
-    renamed = CoTree(shift_fresh(t.root, 2), t.base)
+    renamed = CoTree(remap(t.root, lambda i: i + 2 if i > n else i), t.base)
     assert tree_equal_upto_renaming(t, renamed)
     assert not tree_equal_upto_renaming(t, build_tree(gc, g, n, 3))
+
+    # Depth 3 has fresh variables X3, X4 and X5 over the base X1, X2.
+    deep = build_tree(gc, g, n, 3)
+
+    def swapped(i, j):
+        return CoTree(remap(deep.root, lambda k: {i: j, j: i}.get(k, k)), deep.base)
+
+    assert tree_equal_upto_renaming(deep, swapped(3, 4))
+    assert tree_equal_upto_renaming(swapped(4, 5), swapped(3, 4))
+    collapsed = CoTree(remap(deep.root, lambda k: 3 if k == 4 else k), deep.base)
+    assert not tree_equal_upto_renaming(deep, collapsed)
+    assert not tree_equal_upto_renaming(collapsed, deep)
+    assert not tree_equal_upto_renaming(deep, swapped(1, 3))
+    assert not tree_equal_upto_renaming(swapped(2, 5), deep)
 
 
 def test_render_golden_and_json_round_trip(listnat_plus, gc):

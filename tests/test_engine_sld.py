@@ -15,6 +15,7 @@ from matchlog import (
     Var,
     check_bridge,
     parse_atom,
+    parse_goal,
     replay_trace,
     sld_solve,
 )
@@ -179,3 +180,33 @@ def test_step_unifies_only_clauses_that_can_fit(monkeypatch):
     result = sld_solve(program, [g], SldLimits(max_answers=201, strategy="dfs"))
     assert len(result.answers) == 201
     assert outcomes[False] <= outcomes[True]
+
+
+def test_one_apply_per_successful_unification(monkeypatch, listnat, gc):
+    # The answer rides in the resolvent, so the apply that builds a child
+    # resolvent is the only one a step makes.
+    counts = {"apply": 0, "unified": 0}
+    real_apply, real_mgu = engine_sld.apply, engine_sld.mgu
+
+    def counting_apply(s, x):
+        counts["apply"] += 1
+        return real_apply(s, x)
+
+    def counting_mgu(a, b):
+        unifier = real_mgu(a, b)
+        counts["unified"] += unifier is not None
+        return unifier
+
+    monkeypatch.setattr(engine_sld, "apply", counting_apply)
+    monkeypatch.setattr(engine_sld, "mgu", counting_mgu)
+    for program, text, limits in [
+        (listnat, "list(X)", SldLimits(max_answers=20)),
+        (listnat, "nat(X), list(cons(X, Y))", SldLimits(max_answers=10, strategy="dfs")),
+        (gc, "connected(X, Y)", SldLimits(max_steps=64, max_answers=5)),
+    ]:
+        goal = parse_goal(text, program.signature)
+        before = dict(counts)
+        result = sld_solve(program, goal.atoms, limits)
+        assert result.answers
+        assert counts["unified"] > before["unified"]
+        assert counts["apply"] - before["apply"] == counts["unified"] - before["unified"]

@@ -32,6 +32,7 @@ from helpers import (
     edge_program,
     forest_edges,
     max_var_oracle,
+    print_term_oracle,
     random_atom,
     random_fo_program,
     random_ground_program,
@@ -283,3 +284,19 @@ def test_ground_input_is_returned_unchanged():
         assert rename_atom(a, lambda v: Fn("b")) is a
         assert apply(fail, t) is t and apply(fail, a) is a
         assert all(x is y for x, y in zip(apply(fail, (a, a)), (a, a)))
+
+
+def test_print_term_matches_a_recursive_oracle():
+    def custom(index):
+        return f"V{index}_"
+
+    for x in _random_terms_and_atoms(14):
+        if isinstance(x, Atom):
+            continue
+        assert print_term(x) == print_term_oracle(x), repr(x)
+        assert print_term(x, custom) == print_term_oracle(x, custom), repr(x)
+    deep = Var(1)
+    for _ in range(5000):
+        deep = Fn("s", (deep,))
+    assert print_term(deep) == "s(" * 5000 + "X1" + ")" * 5000
+    assert print_term(deep, custom) == "s(" * 5000 + "V1_" + ")" * 5000
