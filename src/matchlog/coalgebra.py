@@ -454,8 +454,13 @@ def lax_sweep(program: Program,
     against every supplied atom viewed at base m.
 
     A square's verdict only depends on the arrow components at variables the
-    atom actually uses, so verdicts are cached per restriction; the sweep
-    still visits every arrow to classify injections exactly.
+    atom actually uses, so the sweep checks one square per restriction (a
+    class) and counts it `len(pool) ** (m - |used|)` times. Its witness arrow
+    sends every unused position to `pool[0]`, the first arrow of the class in
+    product order. The injective arrows of a class that is not strict are
+    enumerated directly, as permutations of the variables the restriction
+    leaves unused, so the cost grows with classes and with those extensions,
+    never with the number of arrows.
     """
     if atom_bases is None:
         atom_bases = default_check_atoms(program, max_arity)
@@ -479,25 +484,39 @@ def lax_sweep(program: Program,
 
     for atom, m in atom_bases:
         used = tuple(sorted(set(atom_vars(atom))))
+        free = [i for i in range(1, m + 1) if i not in used]
         for n in range(max_arity + 1):
             pool = terms_by_n[n]
-            verdicts: dict[tuple[Term, ...], LaxSquare] = {}
-            for tup in itertools.product(pool, repeat=m):
-                squares += 1
-                fkey = tuple(tup[i - 1] for i in used)
-                sq = verdicts.get(fkey)
-                if sq is None:
-                    sq = verdicts[fkey] = lax_square(step, ArrowSubstitution(n, m, tup), atom)
-                    classes += 1
-                    if not sq.lax_ok:
-                        lax_failures.append(sq)
-                    elif not sq.strict_ok:
-                        equality_failures.append(sq)
+            if m and not pool:
+                continue  # no arrow n->m exists
+            weight = len(pool) ** len(free)
+            injective: list[LaxSquare] = []
+            # Restrictions in product order meet the classes in the order a
+            # walk over pool^m first meets them.
+            for fkey in itertools.product(pool, repeat=len(used)):
+                tup = list(pool[:1] * m)
+                for i, t in zip(used, fkey):
+                    tup[i - 1] = t
+                sq = lax_square(step, ArrowSubstitution(n, m, tuple(tup)), atom)
+                classes += 1
+                squares += weight
+                if not sq.lax_ok:
+                    lax_failures.append(sq)
+                elif not sq.strict_ok:
+                    equality_failures.append(sq)
                 if sq.strict_ok:
-                    strict_ok += 1
-                elif is_var_injection(tup):
-                    injection_failures.append(
-                        replace(sq, arrow=ArrowSubstitution(n, m, tup)))
+                    strict_ok += weight
+                elif is_var_injection(fkey):
+                    rest = [Var(i) for i in range(1, n + 1) if Var(i) not in fkey]
+                    for perm in itertools.permutations(rest, len(free)):
+                        for i, v in zip(free, perm):
+                            tup[i - 1] = v
+                        injective.append(
+                            replace(sq, arrow=ArrowSubstitution(n, m, tuple(tup))))
+            # Variables lead the pool in index order, so sorting by indices
+            # restores product order across the interleaved classes.
+            injection_failures.extend(sorted(
+                injective, key=lambda sq: [v.index for v in sq.arrow.terms]))
     return LaxSweepReport(squares, classes, strict_ok,
                           tuple(lax_failures), tuple(equality_failures),
                           tuple(injection_failures))

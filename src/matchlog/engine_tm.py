@@ -57,12 +57,27 @@ def tm_prove(program: Program, goal: Atom, depth: int) -> TreeOutcome:
         memo[key] = best
         return best
 
-    def extract(atom: Atom, remaining: int) -> AndNode:
+    def frame(atom: Atom, remaining: int) -> tuple:
+        """The first instance whose whole body is proved, with an empty list
+        for the subtrees of its body."""
         for idx, theta, body in instances(program, atom, max(base, atom.max_var)):
             if all(status(sub, remaining - 1) is Status.PROVED for sub in body):
-                kids = tuple(extract(sub, remaining - 1) for sub in body)
-                return AndNode(atom, (OrNode(idx, theta, kids),), False)
+                return atom, remaining, idx, theta, body, []
         raise AssertionError("proof extraction on an unproved goal")
+
+    def extract(atom: Atom, remaining: int) -> AndNode:
+        # Post-order over an explicit stack, so proof depth costs no frames.
+        stack = [frame(atom, remaining)]
+        while True:
+            atom, remaining, idx, theta, body, kids = stack[-1]
+            if len(kids) < len(body):
+                stack.append(frame(body[len(kids)], remaining - 1))
+                continue
+            stack.pop()
+            node = AndNode(atom, (OrNode(idx, theta, tuple(kids)),), False)
+            if not stack:
+                return node
+            stack[-1][-1].append(node)
 
     outcome = status(goal, depth)
     if outcome is Status.PROVED:

@@ -11,7 +11,9 @@ from __future__ import annotations
 import itertools
 import pathlib
 import random
+from dataclasses import replace
 
+from matchlog import coalgebra
 from matchlog import (
     ArrowSubstitution,
     Atom,
@@ -215,6 +217,47 @@ def enumerate_unifiers(a: Atom, b: Atom, pool: list[Term]) -> list[Substitution]
         if apply(s, a) == apply(s, b) and s not in found:
             found.append(s)
     return found
+
+
+def brute_lax_sweep(program: Program, atom_bases=None, max_arity: int = 3,
+                    term_depth: int = 2) -> coalgebra.LaxSweepReport:
+    """`lax_sweep` by walking every arrow in pool^m: each tuple counts one
+    square, verdicts are cached per restriction to the atom's variables, and
+    every tuple of a class that is not strict is tested for injectivity."""
+    if atom_bases is None:
+        atom_bases = coalgebra.default_check_atoms(program, max_arity)
+    cache: dict = {}
+
+    def step(atom, base):
+        if (atom, base) not in cache:
+            cache[atom, base] = coalgebra.pff_step(program, atom, base)
+        return cache[atom, base]
+
+    squares = classes = strict_ok = 0
+    lax_failures, equality_failures, injection_failures = [], [], []
+    for atom, m in atom_bases:
+        used = sorted(set(atom_vars(atom)))
+        for n in range(max_arity + 1):
+            pool = coalgebra.enumerate_terms(program.signature, n, term_depth)
+            verdicts = {}
+            for tup in itertools.product(pool, repeat=m):
+                squares += 1
+                arrow = ArrowSubstitution(n, m, tup)
+                fkey = tuple(tup[i - 1] for i in used)
+                if fkey not in verdicts:
+                    sq = verdicts[fkey] = coalgebra.lax_square(step, arrow, atom)
+                    classes += 1
+                    if not sq.lax_ok:
+                        lax_failures.append(sq)
+                    elif not sq.strict_ok:
+                        equality_failures.append(sq)
+                sq = verdicts[fkey]
+                if sq.strict_ok:
+                    strict_ok += 1
+                elif arrow.is_injection:
+                    injection_failures.append(replace(sq, arrow=arrow))
+    return coalgebra.LaxSweepReport(squares, classes, strict_ok, tuple(lax_failures),
+                                    tuple(equality_failures), tuple(injection_failures))
 
 
 def lfp_entailed(program: Program) -> frozenset[Atom]:

@@ -190,6 +190,14 @@ def test_terms_nested_340_deep_are_proved(capsys):
     assert out.splitlines()[1] == f"nat({deep})"
 
 
+def test_terms_nested_900_deep_are_proved(capsys):
+    # Proof extraction keeps its own stack, so a proof this deep is printed.
+    deep = "s(" * 900 + "0" + ")" * 900
+    code, out, err = run(capsys, "prove", PROGRAMS / "listnat.lp", f"nat({deep})",
+                         "--depth", "902")
+    assert (code, out.splitlines()[0], err) == (0, "Proved", "")
+
+
 def test_solve_names_residual_variables(capsys, tmp_path):
     program = tmp_path / "residual.lp"
     program.write_text("p(f(Z)).\nq(g(A, B)).\n")

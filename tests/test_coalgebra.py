@@ -7,6 +7,7 @@ from functools import partial
 
 import pytest
 
+from matchlog import coalgebra
 from matchlog import (
     Approximant,
     ArrowSubstitution,
@@ -29,11 +30,14 @@ from matchlog import (
     pff_map,
     pff_step,
     pp_leq,
+    print_atom,
     project_approximant,
     unfold,
 )
 
-from helpers import lfp_entailed, random_ground_program
+from matchlog.syntax import term_vars
+
+from helpers import brute_lax_sweep, lfp_entailed, random_fo_program, random_ground_program
 
 A, B, C, D = Atom("a"), Atom("b"), Atom("c"), Atom("d")
 
@@ -277,6 +281,68 @@ def test_lax_sweep_small(gc, bad):
         report = lax_sweep(program)
         assert report.all_lax_ok
         assert report.injections_strict
+
+
+def _sweep_lines(report):
+    """Counts and printed witness lines, as `check --what lax|inj` shows them."""
+    return (report.squares_checked, report.classes_checked, report.strict_ok_squares,
+            [sq.line() for sq in report.lax_failures],
+            [sq.line() for sq in report.equality_failures],
+            [sq.line(strict_expected=True) for sq in report.injection_failures])
+
+
+def test_lax_sweep_matches_brute_force_oracle(listnat, listnat_plus, gc, bad, ex33):
+    rng = random.Random(4242)
+    programs = [listnat, listnat_plus, gc, bad, ex33]
+    programs += [random_fo_program(rng, existential=False) for _ in range(12)]
+    programs += [random_fo_program(rng, existential=True) for _ in range(12)]
+    for program in programs:
+        for arity in range(4):
+            report = lax_sweep(program, max_arity=arity, term_depth=2)
+            oracle = brute_lax_sweep(program, max_arity=arity, term_depth=2)
+            assert _sweep_lines(report) == _sweep_lines(oracle)
+            assert report == oracle
+
+
+def test_lax_sweep_matches_oracle_on_injection_failures(listnat, gc, monkeypatch):
+    # A step that loses a body of every atom whose first argument mentions x1
+    # or x2 breaks injective squares. connected(x3, x1) at base 3 has a free
+    # position between its used ones, so the failing injections of its
+    # classes (x3, x1) and (x3, x2) interleave in product order.
+    real_step = coalgebra.pff_step
+
+    def lossy_step(program, atom, base):
+        element = real_step(program, atom, base)
+        if not {1, 2} & set(term_vars(atom.args[0])) or not element.body:
+            return element
+        bodies = sorted(element.body, key=lambda s: sorted(print_atom(a) for a in s))
+        return PffElement.canonical(base, bodies[1:])
+
+    monkeypatch.setattr(coalgebra, "pff_step", lossy_step)
+    x1, x3 = Var(1), Var(3)
+    for program, extra in [
+        (listnat, [Atom("list", (Fn("cons", (x3, x1)),))]),
+        (gc, [Atom("connected", (x3, x1))]),
+    ]:
+        atom_bases = list(default_check_atoms(program)) + [(a, 3) for a in extra]
+        report = lax_sweep(program, atom_bases)
+        oracle = brute_lax_sweep(program, atom_bases)
+        assert report.injection_failures
+        assert _sweep_lines(report) == _sweep_lines(oracle)
+        assert report == oracle
+
+
+def test_lax_sweep_checks_one_square_per_class(listnat, monkeypatch):
+    calls = []
+    real_square = coalgebra.lax_square
+
+    def counted(*args):
+        calls.append(args)
+        return real_square(*args)
+
+    monkeypatch.setattr(coalgebra, "lax_square", counted)
+    report = lax_sweep(listnat, max_arity=3, term_depth=2)
+    assert (len(calls), report.classes_checked, report.squares_checked) == (2508, 2508, 123516)
 
 
 def test_enumerate_arrows_and_json_records(gc):
