@@ -7,6 +7,17 @@ variables, canonically renamed, and deduplicated. Search is depth-first or
 iterative deepening (the default, so that looping programs still surface the
 answers a bounded search can reach); deepening doubles the step bound each
 sweep up to `max_steps`.
+
+A resolvent is never instantiated. Each sweep keeps one binding store (a
+variable index -> term map whose bindings may mention bound variables) and a
+trail of the indices it bound, in the manner of Warren's abstract machine: a
+step unifies the selected atom with the renamed clause head under the store
+(`mgu(..., store)`), adds the unifier to the store and the trail, and puts the
+renamed body in front of the rest of the resolvent as it stands. Read under
+the store, that resolvent is the one an eager step would have built by
+applying the unifier to it. A choice point records the trail's length, and
+trying its next clause first undoes every binding made since. An answer is
+read only on success, by resolving the query's variables under the store.
 """
 
 from __future__ import annotations
@@ -16,11 +27,8 @@ from typing import Sequence
 
 from .cotree import Status
 from .engine_tm import tm_prove
-from .substitution import Substitution, apply, compose, mgu, rename_apart
+from .substitution import Substitution, apply, compose, mgu, rename_apart, resolve
 from .syntax import Atom, Program, Term, Var, max_var, print_atom, rename, renumbering
-
-# The answer atom's predicate: no parsed program or goal can spell it.
-_ANSWER = ""
 
 
 @dataclass(frozen=True)
@@ -76,13 +84,11 @@ def sld_solve(program: Program, goals: Sequence[Atom],
     for g in goals:
         program.check_atom(g)
     n0 = max_var(goals)
-    # The answer atom ends every resolvent and is never selected: the one
-    # `apply` that instantiates a resolvent also carries the answer, and a
-    # resolvent holding only this atom is a success.
-    answer_atom = Atom(_ANSWER, tuple(Var(i) for i in range(1, n0 + 1)))
+    clauses = program.clauses
 
     answers: list[Answer] = []
     seen: set[Substitution] = set()
+    derived: set[tuple[tuple[int, int], ...]] = set()
 
     def sweep(budget: int) -> bool:
         """One depth-first pass with a per-derivation step budget.
@@ -90,34 +96,62 @@ def sld_solve(program: Program, goals: Sequence[Atom],
         Returns True when some derivation was cut off by the budget.
         """
         cutoff = False
-        # A node is (resolvent, ceiling, steps, trace).
-        stack = [(goals + (answer_atom,), n0, 0, ())]
-        while stack:
-            resolvent, ceiling, steps, trace = stack.pop()
-            if len(resolvent) == 1:
-                restricted = _canonical_answer(resolvent[0].args)
-                if restricted not in seen:
-                    seen.add(restricted)
-                    answers.append(Answer(restricted, steps, trace))
-                    if len(answers) >= limits.max_answers:
-                        return cutoff
-                continue
-            if steps >= budget:
-                cutoff = True
-                continue
-            selected = resolvent[0]
-            children = []
-            for idx in program.candidates(selected):
-                clause = program.clauses[idx]
+        store: dict[int, Term] = {}
+        trail: list[int] = []
+        # A choice point is [resolvent, ceiling, steps, trace, candidates,
+        # next position, trail mark]; it leaves the stack when its last
+        # candidate is tried.
+        choices: list[list] = []
+        node: tuple | None = (goals, n0, 0, ())
+        while True:
+            if node is not None:
+                resolvent, ceiling, steps, trace = node
+                if not resolvent:
+                    # A trace fixes its answer, so a derivation that an
+                    # earlier sweep has read is not read again.
+                    if trace not in derived:
+                        derived.add(trace)
+                        restricted = _canonical_answer(
+                            [resolve(Var(i), store.get) for i in range(1, n0 + 1)])
+                        if restricted not in seen:
+                            seen.add(restricted)
+                            answers.append(Answer(restricted, steps, trace))
+                            if len(answers) >= limits.max_answers:
+                                return cutoff
+                elif steps >= budget:
+                    cutoff = True
+                else:
+                    selected = resolvent[0]
+                    first = selected.args[0] if selected.args else None
+                    while type(first) is Var and first.index in store:
+                        first = store[first.index]
+                    candidates = program.candidates(selected.pred, first)
+                    if candidates:
+                        choices.append([resolvent, ceiling, steps, trace,
+                                        candidates, 0, len(trail)])
+            node = None
+            while node is None:
+                if not choices:
+                    return cutoff
+                frame = choices[-1]
+                resolvent, ceiling, steps, trace, candidates, position, mark = frame
+                while len(trail) > mark:
+                    del store[trail.pop()]
+                if position + 1 == len(candidates):
+                    choices.pop()
+                else:
+                    frame[5] = position + 1
+                idx = candidates[position]
+                clause = clauses[idx]
                 renamed = rename_apart(clause, ceiling)
-                unifier = mgu(selected, renamed.head)
+                unifier = mgu(resolvent[0], renamed.head, store)
                 if unifier is None:
                     continue
-                children.append((apply(unifier, renamed.body + resolvent[1:]),
-                                 ceiling + clause.var_count, steps + 1,
-                                 trace + ((idx, ceiling),)))
-            stack.extend(reversed(children))
-        return cutoff
+                for i, t in unifier.items():
+                    store[i] = t
+                    trail.append(i)
+                node = (renamed.body + resolvent[1:], ceiling + clause.var_count,
+                        steps + 1, trace + ((idx, ceiling),))
 
     if limits.strategy == "dfs":
         cutoff = sweep(limits.max_steps)

@@ -15,7 +15,8 @@ most m variables to one over at most n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence, Union, overload
+from operator import is_
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union, overload
 
 from .syntax import (
     ArityMismatchError,
@@ -119,42 +120,64 @@ def compose(s1: Substitution, s2: Substitution) -> Substitution:
 # Unification and matching
 # ---------------------------------------------------------------------------
 
-def mgu(a: Atom, b: Atom) -> Substitution | None:
+# The empty binding store: `mgu`'s default, never written to.
+_UNBOUND: dict[int, Term] = {}
+
+
+def mgu(a: Atom, b: Atom, store: Mapping[int, Term] = _UNBOUND) -> Substitution | None:
     """Most general unifier of two atoms, or None. The occurs check is on.
 
     The result is idempotent; when two variables are unified the smaller
-    index becomes the representative.
+    index becomes the representative. A variable bound in `store` (a binding
+    store whose bindings may mention variables bound there too) stands for
+    its binding, so the result is the unifier of the two atoms resolved under
+    `store`, without building them: it binds only variables `store` leaves
+    free, and adding it to `store` unifies the two atoms there.
     """
     if a.pred != b.pred or len(a.args) != len(b.args):
         return None
     bind: dict[int, Term] = {}
+    outer = store.get
+
+    def binding(i: int) -> Term | None:
+        t = bind.get(i)
+        return outer(i) if t is None else t
 
     def walk(t: Term) -> Term:
-        while isinstance(t, Var) and t.index in bind:
-            t = bind[t.index]
+        while type(t) is Var:
+            u = binding(t.index)
+            if u is None:
+                break
+            t = u
         return t
 
     def occurs(i: int, t: Term) -> bool:
-        t = walk(t)
-        if isinstance(t, Var):
-            return t.index == i
-        return any(occurs(i, a) for a in t.args)
+        stack = [t]
+        while stack:
+            t = walk(stack.pop())
+            if type(t) is Var:
+                if t.index == i:
+                    return True
+            elif t.max_var:
+                stack.extend(t.args)
+        return False
 
     stack = list(zip(a.args, b.args))
     while stack:
         x, y = stack.pop()
         x = walk(x)
         y = walk(y)
-        if isinstance(x, Var) and isinstance(y, Var):
-            if x.index == y.index:
-                continue
-            lo, hi = sorted((x.index, y.index))
-            bind[hi] = Var(lo)
-        elif isinstance(x, Var):
-            if occurs(x.index, y):
+        if type(x) is Var:
+            if type(y) is Var:
+                if x.index < y.index:
+                    bind[y.index] = x
+                elif y.index < x.index:
+                    bind[x.index] = y
+            elif occurs(x.index, y):
                 return None
-            bind[x.index] = y
-        elif isinstance(y, Var):
+            else:
+                bind[x.index] = y
+        elif type(y) is Var:
             if occurs(y.index, x):
                 return None
             bind[y.index] = x
@@ -163,11 +186,44 @@ def mgu(a: Atom, b: Atom) -> Substitution | None:
                 return None
             stack.extend(zip(x.args, y.args))
 
-    def resolve(v: Var) -> Term:
-        t = walk(v)
-        return t if isinstance(t, Var) else rename(t, resolve)
+    return Substitution({i: resolve(t, binding) for i, t in bind.items()})
 
-    return Substitution({i: resolve(Var(i)) for i in bind})
+
+def resolve(t: Term, binding: Callable[[int], Term | None]) -> Term:
+    """`t` with every variable x_i that `binding(i)` sends to a term replaced
+    by that term, resolved in turn: a binding store whose bindings mention
+    bound variables is read through to its fixpoint. The store must be
+    acyclic, as the occurs check keeps it. A subterm with nothing bound in
+    it is returned as it is. The walk keeps its own stack, so it does not
+    recurse on term depth."""
+    # `todo` holds terms still to resolve and, as 1-tuples, the functor
+    # nodes whose resolved arguments are the last ones on `done`.
+    done: list[Term] = []
+    todo: list = [t]
+    while todo:
+        x = todo.pop()
+        if type(x) is tuple:
+            node = x[0]
+            n = len(node.args)
+            if n == 1:
+                arg = done[-1]
+                done[-1] = node if arg is node.args[0] else Fn(node.name, (arg,))
+            else:
+                args = tuple(done[-n:])
+                del done[-n:]
+                done.append(node if all(map(is_, args, node.args)) else Fn(node.name, args))
+            continue
+        while type(x) is Var:
+            u = binding(x.index)
+            if u is None:
+                break
+            x = u
+        if type(x) is Var or not x.max_var:
+            done.append(x)
+        else:
+            todo.append((x,))
+            todo.extend(reversed(x.args))
+    return done[0]
 
 
 def mgm(pattern: Atom, target: Atom) -> Substitution | None:
@@ -197,8 +253,9 @@ def mgm(pattern: Atom, target: Atom) -> Substitution | None:
 
 
 def rename_apart(c: Clause, avoid: int) -> Clause:
-    """Shift every variable in the clause above `avoid`."""
-    if avoid == 0:
+    """Shift every variable in the clause above `avoid`; a ground clause is
+    returned as it is."""
+    if avoid == 0 or not c.var_count:
         return c
 
     def var_fn(v: Var) -> Term:
@@ -215,7 +272,8 @@ def instances(program: Program, atom: Atom,
     body-only variables to the fresh indices ceiling+1, ceiling+2, ..., and
     the body under that matcher.
     """
-    for idx in program.candidates(atom, matching=True):
+    for idx in program.candidates(atom.pred, atom.args[0] if atom.args else None,
+                                  matching=True):
         clause = program.clauses[idx]
         theta = mgm(clause.head, atom)
         if theta is None:

@@ -108,7 +108,7 @@ class Fn(_Node):
         if type(other) is not Fn:
             return NotImplemented
         return (self._hash == other._hash and self.name == other.name
-                and self.args == other.args)
+                and (self.args is other.args or _same_args(self.args, other.args)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -141,13 +141,37 @@ class Atom(_Node):
         if type(other) is not Atom:
             return NotImplemented
         return (self._hash == other._hash and self.pred == other.pred
-                and self.args == other.args)
+                and (self.args is other.args or _same_args(self.args, other.args)))
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
         return f"Atom(pred={self.pred!r}, args={self.args!r})"
+
+
+def _same_args(xs: tuple[Term, ...], ys: tuple[Term, ...]) -> bool:
+    """Structural equality of two argument tuples. The walk keeps its own
+    stack, so it does not recurse on term depth; a shared subterm or a hash
+    mismatch settles a pair without descending into it."""
+    todo = [(xs, ys)]
+    while todo:
+        xs, ys = todo.pop()
+        if len(xs) != len(ys):
+            return False
+        for x, y in zip(xs, ys):
+            if x is y:
+                continue
+            if x._hash != y._hash or type(x) is not type(y):
+                return False
+            if type(x) is Var:
+                if x.index != y.index:
+                    return False
+            elif x.name != y.name:
+                return False
+            elif x.args:
+                todo.append((x.args, y.args))
+    return True
 
 
 def rename(t: Term, var_fn: Callable[[Var], Term]) -> Term:
@@ -352,21 +376,22 @@ class Program:
                        tuple(var_first))
                 for pred, (every, by_functor, var_first) in building.items()}
 
-    def candidates(self, a: Atom, matching: bool = False) -> tuple[int, ...]:
+    def candidates(self, pred: str, first: Term | None,
+                   matching: bool = False) -> tuple[int, ...]:
         """Indices, increasing, of the clauses whose head can match or unify
-        with `a`: the clauses of `a`'s predicate, narrowed by the principal
-        functor of `a`'s first argument when it has one. Every clause left
-        out has a head whose `mgm` or `mgu` against `a` is None.
+        with an atom of predicate `pred` whose first argument is `first`
+        (None for a nullary atom): the clauses of `pred`, narrowed by the
+        principal functor of `first` when it has one. Every clause left out
+        has a head whose `mgm` or `mgu` against the atom is None.
 
-        With `matching`, only heads that can match `a` one way are kept: for
-        a variable first argument that leaves the variable-first clauses,
+        With `matching`, only heads that can match the atom one way are kept:
+        for a variable first argument that leaves the variable-first clauses,
         since no functor matches onto a variable."""
-        entry = self._first_arg_index.get(a.pred)
+        entry = self._first_arg_index.get(pred)
         if entry is None:
             return ()
         every, by_functor, var_first = entry
-        first = a.args[0] if a.args else None
-        if isinstance(first, Fn):
+        if type(first) is Fn:
             return by_functor.get((first.name, len(first.args)), var_first)
         return var_first if matching else every
 

@@ -31,7 +31,7 @@ from matchlog import (
     compose_arrows,
     parse_program,
 )
-from matchlog.syntax import atom_vars, canonical_clause, max_var, print_term
+from matchlog.syntax import atom_vars, canonical_clause, max_var, print_term, term_vars
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +258,71 @@ def brute_lax_sweep(program: Program, atom_bases=None, max_arity: int = 3,
                     injection_failures.append(replace(sq, arrow=arrow))
     return coalgebra.LaxSweepReport(squares, classes, strict_ok, tuple(lax_failures),
                                     tuple(equality_failures), tuple(injection_failures))
+
+
+def eager_sld(program: Program, goals: tuple[Atom, ...], max_steps: int,
+              max_answers: int, strategy: str) -> tuple[list[tuple], bool]:
+    """SLD by the textbook eager step, as (answers, exhausted); each answer is
+    (bindings, steps, trace). Every clause of the program is tried in order,
+    renamed above the node's ceiling, and each unifier is applied to the
+    whole resolvent and to the query's images, the answer being those images
+    with residual variables renumbered by first occurrence. Depth-first, or
+    iterative deepening with the step budget doubling up to `max_steps`."""
+    n0 = max_var(goals)
+    answers: list[tuple] = []
+    seen: set[Substitution] = set()
+
+    def renamed(clause: Clause, offset: int) -> tuple[Atom, tuple[Atom, ...]]:
+        shift = Substitution({i: Var(i + offset) for i in range(1, clause.var_count + 1)})
+        return apply(shift, clause.head), apply(shift, clause.body)
+
+    def restricted(images: tuple[Term, ...]) -> Substitution:
+        residual: dict[int, Term] = {}
+        for t in images:
+            for i in term_vars(t):
+                if i > n0 and i not in residual:
+                    residual[i] = Var(n0 + len(residual) + 1)
+        fresh = Substitution(residual)
+        return Substitution({i: apply(fresh, t) for i, t in enumerate(images, 1)})
+
+    def sweep(budget: int) -> bool:
+        cutoff = False
+        stack = [(goals, tuple(Var(i) for i in range(1, n0 + 1)), n0, 0, ())]
+        while stack:
+            resolvent, images, ceiling, steps, trace = stack.pop()
+            if not resolvent:
+                answer = restricted(images)
+                if answer not in seen:
+                    seen.add(answer)
+                    answers.append((answer, steps, trace))
+                    if len(answers) >= max_answers:
+                        return cutoff
+                continue
+            if steps >= budget:
+                cutoff = True
+                continue
+            children = []
+            for idx, clause in enumerate(program.clauses):
+                head, body = renamed(clause, ceiling)
+                sigma = mgu(resolvent[0], head)
+                if sigma is not None:
+                    children.append((apply(sigma, body + resolvent[1:]),
+                                     tuple(apply(sigma, t) for t in images),
+                                     ceiling + clause.var_count, steps + 1,
+                                     trace + ((idx, ceiling),)))
+            stack.extend(reversed(children))
+        return cutoff
+
+    if strategy == "dfs":
+        return answers, sweep(max_steps) and len(answers) < max_answers
+    budget = 1
+    while True:
+        cutoff = sweep(budget)
+        if len(answers) >= max_answers or not cutoff:
+            return answers, False
+        if budget >= max_steps:
+            return answers, True
+        budget = min(budget * 2, max_steps)
 
 
 def lfp_entailed(program: Program) -> frozenset[Atom]:

@@ -8,6 +8,7 @@ import pytest
 
 from matchlog import engine_sld
 from matchlog import (
+    Atom,
     Fn,
     SldLimits,
     Status,
@@ -20,7 +21,7 @@ from matchlog import (
     sld_solve,
 )
 
-from helpers import chain_edges, edge_program, random_fo_program
+from helpers import chain_edges, eager_sld, edge_program, random_fo_program
 
 
 def test_gc_first_answer(gc):
@@ -170,8 +171,8 @@ def test_step_unifies_only_clauses_that_can_fit(monkeypatch):
     outcomes = {True: 0, False: 0}
     real_mgu = engine_sld.mgu
 
-    def counting_mgu(a, b):
-        unifier = real_mgu(a, b)
+    def counting_mgu(*args):
+        unifier = real_mgu(*args)
         outcomes[unifier is not None] += 1
         return unifier
 
@@ -182,9 +183,9 @@ def test_step_unifies_only_clauses_that_can_fit(monkeypatch):
     assert outcomes[False] <= outcomes[True]
 
 
-def test_one_apply_per_successful_unification(monkeypatch, listnat, gc):
-    # The answer rides in the resolvent, so the apply that builds a child
-    # resolvent is the only one a step makes.
+def test_sld_steps_apply_no_substitution(monkeypatch, listnat, gc):
+    # Steps bind variables in a store instead of instantiating the resolvent,
+    # so solving makes no `apply` call at all.
     counts = {"apply": 0, "unified": 0}
     real_apply, real_mgu = engine_sld.apply, engine_sld.mgu
 
@@ -192,8 +193,8 @@ def test_one_apply_per_successful_unification(monkeypatch, listnat, gc):
         counts["apply"] += 1
         return real_apply(s, x)
 
-    def counting_mgu(a, b):
-        unifier = real_mgu(a, b)
+    def counting_mgu(*args):
+        unifier = real_mgu(*args)
         counts["unified"] += unifier is not None
         return unifier
 
@@ -205,8 +206,47 @@ def test_one_apply_per_successful_unification(monkeypatch, listnat, gc):
         (gc, "connected(X, Y)", SldLimits(max_steps=64, max_answers=5)),
     ]:
         goal = parse_goal(text, program.signature)
-        before = dict(counts)
+        before = counts["unified"]
         result = sld_solve(program, goal.atoms, limits)
         assert result.answers
-        assert counts["unified"] > before["unified"]
-        assert counts["apply"] - before["apply"] == counts["unified"] - before["unified"]
+        assert counts["unified"] > before
+    assert counts["apply"] == 0
+
+
+def test_sld_solve_equals_eager_oracle(listnat, listnat_plus, gc, bad, ex33):
+    # The store-and-trail search against the textbook eager step: same
+    # answers (bindings, steps, trace) in the same order, same `exhausted`.
+    rng = random.Random(4242)
+    programs = [listnat, listnat_plus, gc, bad, ex33]
+    programs += [random_fo_program(rng, existential=False) for _ in range(12)]
+    programs += [random_fo_program(rng, existential=True) for _ in range(12)]
+    queries = 0
+    for program in programs:
+        generic = program.signature.generic_atoms
+        goals = [(g,) for g in generic] + ([generic] if len(generic) > 1 else [])
+        goals += [(rebound,) for rebound in _first_argument_constants(program)]
+        for goal in goals:
+            for strategy in ("dfs", "iddfs"):
+                # max_steps stays at 10 or below: bounded DFS on these looping
+                # programs is exponential in the bound.
+                for max_steps, max_answers in ((3, 50), (8, 7), (10, 4)):
+                    result = sld_solve(program, goal,
+                                       SldLimits(max_steps, max_answers, strategy))
+                    expected, exhausted = eager_sld(program, goal, max_steps,
+                                                    max_answers, strategy)
+                    got = [(a.bindings, a.steps, a.trace) for a in result.answers]
+                    assert got == expected, (goal, strategy, max_steps)
+                    assert result.exhausted == exhausted, (goal, strategy, max_steps)
+                    for ans in result.answers:
+                        assert replay_trace(program, goal, ans) == ans.bindings
+                    queries += 1
+    assert queries > 500
+
+
+def _first_argument_constants(program):
+    """One generic atom per predicate with its first argument set to each
+    constant of the program, so the clause index sees bound first arguments."""
+    for g in program.signature.generic_atoms:
+        if g.args:
+            for c in program.signature.constants:
+                yield Atom(g.pred, (Fn(c),) + g.args[1:])

@@ -21,6 +21,7 @@ from matchlog import (
     parse_atom,
     rename_apart,
 )
+from matchlog.substitution import resolve
 
 from helpers import (
     check_apply_compose_case,
@@ -29,6 +30,8 @@ from helpers import (
     check_mgu_case,
     enumerate_unifiers,
     ground_term_pool,
+    random_atom,
+    random_term,
 )
 
 
@@ -103,6 +106,61 @@ def test_rename_apart(gc):
         Atom("connected", (Var(5), Var(4))),
     )
     assert rename_apart(gc.clauses[1], 0) == gc.clauses[1]
+
+
+def test_rename_apart_returns_a_ground_clause_as_it_is():
+    from matchlog import parse_program
+    program = parse_program("edge(a, b).\nedge(b, c) :- edge(a, b).\n")
+    for clause in program.clauses:
+        assert rename_apart(clause, 5) is clause
+
+
+def _random_store(rng, nvars):
+    """An acyclic binding store over x1..x`nvars`: x_i may be bound to a term
+    over variables above i only."""
+    store = {}
+    for i in range(1, nvars):
+        if rng.random() < 0.5:
+            t = random_term(rng, nvars - i, 3)
+            store[i] = apply(Substitution({j: Var(j + i) for j in range(1, nvars - i + 1)}), t)
+    return store
+
+
+def _resolved_by_fixpoint(store, x):
+    while True:
+        y = apply(Substitution(store), x)
+        if y == x:
+            return x
+        x = y
+
+
+def test_mgu_under_a_store_is_mgu_of_the_resolved_atoms():
+    rng = random.Random(23)
+    for _ in range(400):
+        store = _random_store(rng, 6)
+        before = dict(store)
+        a = random_atom(rng, 6)
+        b = random_atom(rng, 6, preds=((a.pred, len(a.args)),))
+        ra, rb = _resolved_by_fixpoint(store, a), _resolved_by_fixpoint(store, b)
+        assert mgu(a, b, store) == mgu(ra, rb)
+        assert store == before
+        for t in a.args:
+            assert resolve(t, store.get) == _resolved_by_fixpoint(store, t)
+
+
+def test_resolve_and_occurs_check_do_not_recurse_on_depth():
+    depth = 5000
+    chain = {i: Fn("s", (Var(i + 1),)) for i in range(1, depth)}
+    chain[depth] = Fn("0")
+    expected = Fn("0")
+    for _ in range(depth - 1):
+        expected = Fn("s", (expected,))
+    assert resolve(Var(1), chain.get) == expected
+    deep = Var(1)
+    for _ in range(depth):
+        deep = Fn("s", (deep,))
+    assert mgu(Atom("p", (Var(1),)), Atom("p", (deep,))) is None
+    assert mgu(Atom("p", (Var(2),)), Atom("p", (deep,))) == Substitution({2: deep})
 
 
 def test_double_renaming_is_summed_offset(gc):

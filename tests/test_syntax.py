@@ -212,10 +212,11 @@ def test_candidates_cover_every_matching_and_unifying_clause(
         preds = list(program.signature.predicates) + [("nopred", 1)]
         for _ in range(40):
             a = _random_signature_atom(rng, program, *rng.choice(preds))
-            got = program.candidates(a)
+            first = a.args[0] if a.args else None
+            got = program.candidates(a.pred, first)
             assert all(i < j for i, j in zip(got, got[1:]))
             assert all(program.clauses[i].head.pred == a.pred for i in got)
-            matching = program.candidates(a, matching=True)
+            matching = program.candidates(a.pred, first, matching=True)
             assert all(i < j for i, j in zip(matching, matching[1:]))
             assert set(matching) <= set(got)
             if a.args and isinstance(a.args[0], Var):
@@ -300,3 +301,14 @@ def test_print_term_matches_a_recursive_oracle():
         deep = Fn("s", (deep,))
     assert print_term(deep) == "s(" * 5000 + "X1" + ")" * 5000
     assert print_term(deep, custom) == "s(" * 5000 + "V1_" + ")" * 5000
+
+
+def test_equality_of_deep_terms_does_not_recurse():
+    def chain(bottom, depth=5000):
+        for _ in range(depth):
+            bottom = Fn("s", (bottom,))
+        return Atom("nat", (Fn("g", (bottom, bottom)),))
+
+    assert chain(Fn("0")) == chain(Fn("0"))
+    assert chain(Var(1)) != chain(Var(2))
+    assert chain(Fn("0")) != chain(Var(1))
