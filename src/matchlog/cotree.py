@@ -120,14 +120,15 @@ def build_tree(program: Program, goal: Atom, base: int, depth: int) -> CoTree:
     if max_var(goal) > base:
         raise ArityMismatchError(print_atom(goal), base, max_var(goal), "goal")
 
-    ground = max_var(goal) == 0 and all(c.var_count == 0 for c in program.clauses)
-    memo: dict[tuple[Atom, int], AndNode] = {}
+    # A subtree depends only on its atom, its remaining depth and its fresh
+    # variable ceiling, so equal subtrees are built once and shared.
+    memo: dict[tuple[Atom, int, int], AndNode] = {}
 
     def expand(atom: Atom, remaining: int, ceiling: int) -> AndNode:
-        if ground:
-            hit = memo.get((atom, remaining))
-            if hit is not None:
-                return hit
+        key = (atom, remaining, ceiling)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
         if remaining == 0:
             node = AndNode(atom, (), True)
         else:
@@ -138,8 +139,7 @@ def build_tree(program: Program, goal: Atom, base: int, depth: int) -> CoTree:
                 ors.append(OrNode(idx, theta,
                                   tuple(expand(b, remaining - 1, child_ceiling) for b in body)))
             node = AndNode(atom, tuple(ors), False)
-        if ground:
-            memo[(atom, remaining)] = node
+        memo[key] = node
         return node
 
     return CoTree(expand(goal, depth, base), base)
@@ -315,7 +315,7 @@ def _ascii_lines(node: AndNode, out: list[str], prefix: str, connector: str) -> 
                          "└─ " if klast else "├─ ")
 
 
-def _dot_text(t: CoTree) -> str:
+def _dot_text(root: AndNode) -> str:
     lines = ["digraph cotree {", "  rankdir=TB;"]
     counter = 0
 
@@ -338,7 +338,7 @@ def _dot_text(t: CoTree) -> str:
                 lines.append(f"  {oid} -> {cid};")
         return nid
 
-    walk_and(t.root)
+    walk_and(root)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -366,7 +366,7 @@ def render(t: CoTree | ProofTree, fmt: str = "ascii") -> str:
         _ascii_lines(t.root, out, "", "")
         return "\n".join(out) + "\n"
     if fmt == "dot":
-        return _dot_text(t if isinstance(t, CoTree) else CoTree(t.root, t.base))
+        return _dot_text(t.root)
     if fmt == "json":
         return json.dumps(_json_obj(t.root, t.base), indent=2) + "\n"
     raise ValueError(f"unknown format {fmt!r}")

@@ -17,17 +17,18 @@ renamed body in front of the rest of the resolvent as it stands. Read under
 the store, that resolvent is the one an eager step would have built by
 applying the unifier to it. A choice point records the trail's length, and
 trying its next clause first undoes every binding made since. An answer is
-read only on success, by resolving the query's variables under the store.
+read only on success, in one `rename` walk that reads the query's variables
+through the store and renumbers the variables left free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .cotree import Status
 from .engine_tm import tm_prove
-from .substitution import Substitution, apply, compose, mgu, rename_apart, resolve
+from .substitution import Substitution, apply, compose, mgu, rename_apart
 from .syntax import Atom, Program, Term, Var, max_var, print_atom, rename, renumbering
 
 
@@ -68,12 +69,12 @@ class SldResult:
     exhausted: bool  # True when the step bound cut off unexplored derivations
 
 
-def _canonical_answer(images: Sequence[Term]) -> Substitution:
-    """The answer whose query variable x_i is sent to images[i-1], with
-    residual free variables renumbered by first occurrence above the query's."""
-    n0 = len(images)
+def _canonical_answer(n0: int, bound: Callable[[int], Term | None]) -> Substitution:
+    """The answer sending each query variable x_1..x_n0 to its binding read
+    through `bound`, with residual free variables renumbered by first
+    occurrence above the query's, in the same walk."""
     var_fn = renumbering(n0, {})
-    return Substitution({i: rename(t, var_fn) for i, t in enumerate(images, 1)})
+    return Substitution({i: rename(Var(i), var_fn, bound) for i in range(1, n0 + 1)})
 
 
 def sld_solve(program: Program, goals: Sequence[Atom],
@@ -111,8 +112,7 @@ def sld_solve(program: Program, goals: Sequence[Atom],
                     # earlier sweep has read is not read again.
                     if trace not in derived:
                         derived.add(trace)
-                        restricted = _canonical_answer(
-                            [resolve(Var(i), store.get) for i in range(1, n0 + 1)])
+                        restricted = _canonical_answer(n0, store.get)
                         if restricted not in seen:
                             seen.add(restricted)
                             answers.append(Answer(restricted, steps, trace))
@@ -191,7 +191,9 @@ def replay_trace(program: Program, goals: Sequence[Atom], answer: Answer) -> Sub
         sigma = compose(unifier, sigma)
     if resolvent:
         raise ValueError("trace ends on a non-empty goal")
-    return _canonical_answer([sigma.get(i) for i in range(1, max_var(tuple(goals)) + 1)])
+    # Composed from idempotent unifiers over renamed-apart clauses, `sigma` is
+    # idempotent, so reading through it applies it once.
+    return _canonical_answer(max_var(tuple(goals)), dict(sigma.items()).get)
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +216,6 @@ class BridgeReport:
     @property
     def violations(self) -> tuple[BridgeEntry, ...]:
         return tuple(e for e in self.entries if e.status is Status.FAILED)
-
-    @property
-    def inconclusive(self) -> tuple[BridgeEntry, ...]:
-        return tuple(e for e in self.entries if e.status is Status.UNKNOWN)
 
     def to_text(self) -> str:
         lines = []

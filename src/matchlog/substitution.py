@@ -6,17 +6,19 @@ outside the map are fixed. Application is simultaneous. Unifiers returned by
 smaller index is kept as the representative, which makes results directly
 comparable in tests.
 
-`mgm(pattern, target)` is strictly one-way: only pattern variables may be
-bound, target variables are inert. A tuple arrow n->m carries m terms over
-variables x1..xn and acts on atoms by substitution, sending an atom over at
-most m variables to one over at most n.
+`mgu` works on a binding store whose bindings may mention bound variables,
+and reads its result through that store with `syntax.rename`, the one
+variable-mapping walker, which also serves application, renaming apart and
+arrows. `mgm(pattern, target)` is strictly one-way: only pattern variables
+may be bound, target variables are inert. A tuple arrow n->m carries m terms
+over variables x1..xn and acts on atoms by substitution, sending an atom
+over at most m variables to one over at most n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import is_
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union, overload
+from typing import Iterable, Iterator, Mapping, Sequence, Union, overload
 
 from .syntax import (
     ArityMismatchError,
@@ -186,44 +188,7 @@ def mgu(a: Atom, b: Atom, store: Mapping[int, Term] = _UNBOUND) -> Substitution 
                 return None
             stack.extend(zip(x.args, y.args))
 
-    return Substitution({i: resolve(t, binding) for i, t in bind.items()})
-
-
-def resolve(t: Term, binding: Callable[[int], Term | None]) -> Term:
-    """`t` with every variable x_i that `binding(i)` sends to a term replaced
-    by that term, resolved in turn: a binding store whose bindings mention
-    bound variables is read through to its fixpoint. The store must be
-    acyclic, as the occurs check keeps it. A subterm with nothing bound in
-    it is returned as it is. The walk keeps its own stack, so it does not
-    recurse on term depth."""
-    # `todo` holds terms still to resolve and, as 1-tuples, the functor
-    # nodes whose resolved arguments are the last ones on `done`.
-    done: list[Term] = []
-    todo: list = [t]
-    while todo:
-        x = todo.pop()
-        if type(x) is tuple:
-            node = x[0]
-            n = len(node.args)
-            if n == 1:
-                arg = done[-1]
-                done[-1] = node if arg is node.args[0] else Fn(node.name, (arg,))
-            else:
-                args = tuple(done[-n:])
-                del done[-n:]
-                done.append(node if all(map(is_, args, node.args)) else Fn(node.name, args))
-            continue
-        while type(x) is Var:
-            u = binding(x.index)
-            if u is None:
-                break
-            x = u
-        if type(x) is Var or not x.max_var:
-            done.append(x)
-        else:
-            todo.append((x,))
-            todo.extend(reversed(x.args))
-    return done[0]
+    return Substitution({i: rename(t, bound=binding) for i, t in bind.items()})
 
 
 def mgm(pattern: Atom, target: Atom) -> Substitution | None:

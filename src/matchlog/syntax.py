@@ -16,8 +16,10 @@ as constant names), variables match [A-Z_][A-Za-z0-9_]*.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import is_
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 
@@ -174,20 +176,59 @@ def _same_args(xs: tuple[Term, ...], ys: tuple[Term, ...]) -> bool:
     return True
 
 
-def rename(t: Term, var_fn: Callable[[Var], Term]) -> Term:
-    """Rebuild `t` with every variable v replaced by var_fn(v); a ground `t`
-    is returned as it is."""
-    if type(t) is Var:
-        return var_fn(t)
+def rename(t: Term | Atom, var_fn: Callable[[Var], Term] | None = None,
+           bound: Callable[[int], Term | None] | None = None) -> Term | Atom:
+    """Rebuild the term or atom `t` through a map on its variables. A
+    variable x_i that `bound(i)` sends to a term is replaced by that term,
+    which is walked in turn: an acyclic binding store whose bindings mention
+    bound variables is read through to its fixpoint. Every other variable v
+    becomes var_fn(v), or stays as it is without `var_fn`; that image is not
+    walked again. Variables are met left to right.
+
+    A ground subterm, and a node whose rebuilt arguments are all the ones it
+    had, are returned as they are. The walk keeps its own stack, so it does
+    not recurse on term depth."""
+    while type(t) is Var:
+        u = None if bound is None else bound(t.index)
+        if u is None:
+            return t if var_fn is None else var_fn(t)
+        t = u
     if not t.max_var:
         return t
-    return Fn(t.name, tuple([rename(a, var_fn) for a in t.args]))
+    # The walk is at `node`: `it` runs over its arguments and `out` holds
+    # those rebuilt so far. A non-ground argument saves the three on `stack`
+    # and becomes the node; a finished node goes to its parent's `out`.
+    node, it, out = t, iter(t.args), []
+    stack = []
+    while True:
+        for x in it:
+            while type(x) is Var:
+                u = None if bound is None else bound(x.index)
+                if u is None:
+                    break
+                x = u
+            if type(x) is Var:
+                out.append(x if var_fn is None else var_fn(x))
+            elif not x.max_var:
+                out.append(x)
+            else:
+                stack.append((node, it, out))
+                node, it, out = x, iter(x.args), []
+                break
+        else:
+            args = tuple(out)
+            if all(map(is_, args, node.args)):
+                new = node
+            else:
+                new = Fn(node.name, args) if type(node) is Fn else Atom(node.pred, args)
+            if not stack:
+                return new
+            node, it, out = stack.pop()
+            out.append(new)
 
 
-def rename_atom(a: Atom, var_fn: Callable[[Var], Term]) -> Atom:
-    if not a.max_var:
-        return a
-    return Atom(a.pred, tuple([rename(t, var_fn) for t in a.args]))
+# An atom is rebuilt by the same walk; the name says what the caller passes.
+rename_atom = rename
 
 
 def lookup(table: Mapping[int, Term]) -> Callable[[Var], Term]:
@@ -209,17 +250,20 @@ def renumbering(base: int, seen: dict[int, Var]) -> Callable[[Var], Term]:
     return var_fn
 
 
-def term_vars(t: Term) -> Iterator[int]:
-    if type(t) is Var:
-        yield t.index
-    elif t.max_var:
-        for a in t.args:
-            yield from term_vars(a)
+def term_vars(t: Term | Atom) -> Iterator[int]:
+    """Variable indices of the term or atom `t`, left to right, with repeats.
+    The walk keeps its own stack, so it does not recurse on term depth."""
+    todo = [t]
+    while todo:
+        x = todo.pop()
+        if type(x) is Var:
+            yield x.index
+        elif x.max_var:
+            todo.extend(reversed(x.args))
 
 
-def atom_vars(a: Atom) -> Iterator[int]:
-    for t in a.args:
-        yield from term_vars(t)
+# An atom's variables come from the same walk.
+atom_vars = term_vars
 
 
 def max_var(x: Term | Atom | Iterable[Atom]) -> int:
@@ -305,18 +349,16 @@ def _note(table: dict[str, int], name: str, arity: int, role: str) -> None:
         raise ArityMismatchError(name, old, arity, role)
 
 
-def _note_term(t: Term, functors: dict[str, int]) -> None:
-    if isinstance(t, Fn):
-        _note(functors, t.name, len(t.args), "functor")
-        for a in t.args:
-            _note_term(a, functors)
-
-
 def _note_atom(a: Atom, functors: dict[str, int], predicates: dict[str, int]) -> None:
-    """Record the arities `a` uses; raise ArityMismatchError on a clash."""
+    """Record the arities `a` uses, its functors in pre-order; raise
+    ArityMismatchError on a clash. The walk keeps its own stack."""
     _note(predicates, a.pred, len(a.args), "predicate")
-    for t in a.args:
-        _note_term(t, functors)
+    todo = list(reversed(a.args))
+    while todo:
+        t = todo.pop()
+        if type(t) is Fn:
+            _note(functors, t.name, len(t.args), "functor")
+            todo.extend(reversed(t.args))
 
 
 # Per predicate: all its clauses; per first-argument functor (name, arity), the
@@ -415,139 +457,127 @@ def classify_program(p: Program) -> Classification:
 # Parsing
 # ---------------------------------------------------------------------------
 
+# A token is its text and its offset in the source; the end of input is the
+# token ("", len(source)). Whitespace and comments match `skip`, and any
+# character no token starts with matches `bad`.
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<comment>%[^\n]*)"
-    r"|(?P<implies>:-)"
-    r"|(?P<name>[a-z][A-Za-z0-9_]*|[0-9]+)"
-    r"|(?P<var>[A-Z_][A-Za-z0-9_]*)"
-    r"|(?P<lparen>\()"
-    r"|(?P<rparen>\))"
-    r"|(?P<comma>,)"
-    r"|(?P<dot>\.)"
+    r"(?P<skip>\s+|%[^\n]*)"
+    r"|:-|[a-z][A-Za-z0-9_]*|[0-9]+|[A-Z_][A-Za-z0-9_]*|[(),.]"
+    r"|(?P<bad>.)"
 )
+_NAME_START = frozenset(string.ascii_lowercase + string.digits)
+_VAR_START = frozenset(string.ascii_uppercase + "_")
+_CANONICAL_VAR = re.compile(r"X([1-9][0-9]*)")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(source: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    line = 1
-    col = 1
-    n = len(source)
-    while pos < n:
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {source[pos]!r}", line, col)
-        kind = m.lastgroup or ""
-        text = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, text, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+def _error(source: str, offset: int, message: str) -> ParseError:
+    """A ParseError at the line and column of `offset` in `source`."""
+    line = source.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - source.rfind("\n", 0, offset))
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], signature: Signature | None = None) -> None:
-        self.tokens = tokens
+    def __init__(self, source: str, signature: Signature | None = None) -> None:
+        self.source = source
+        self.tokens: list[tuple[str, int]] = []
+        # Tokenizing is eager, so a bad character raises before any parse error.
+        for m in _TOKEN_RE.finditer(source):
+            if m.lastgroup is None:
+                self.tokens.append((m.group(), m.start()))
+            elif m.lastgroup == "bad":
+                raise _error(source, m.start(), f"unexpected character {m.group()!r}")
+        self.tokens.append(("", len(source)))
         self.pos = 0
         self.functors: dict[str, int] = dict(signature.functors) if signature else {}
         self.predicates: dict[str, int] = dict(signature.predicates) if signature else {}
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        return self.tokens[self.pos][0]
 
-    def take(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def error(self, what: str) -> ParseError:
+        text, offset = self.tokens[self.pos]
+        got = repr(text) if text else "end of input"
+        return _error(self.source, offset, f"expected {what}, found {got}")
+
+    def expect(self, text: str, what: str) -> None:
+        if self.peek() != text:
+            raise self.error(what)
         self.pos += 1
-        return tok
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            got = repr(tok.text) if tok.kind != "eof" else "end of input"
-            raise ParseError(f"expected {what}, found {got}", tok.line, tok.column)
-        return self.take()
+    def term(self, varmap: dict[str, int], canonical_vars: bool = False,
+             atom: bool = False) -> Term | Atom:
+        """A term, or with `atom` an atom: a name with an optional argument
+        list of terms. Functors whose argument list is open wait on an
+        explicit stack, so nesting costs no frames; each symbol's arity is
+        noted as its list closes, innermost first."""
+        tokens = self.tokens
+        open_: list[tuple[str, list[Term]]] = []
+        while True:
+            text, offset = tokens[self.pos]
+            if text[:1] in _NAME_START:
+                self.pos += 1
+                if tokens[self.pos][0] == "(":
+                    self.pos += 1
+                    open_.append((text, []))
+                    continue
+                value = self.build(text, (), atom and not open_)
+            elif atom and not open_:
+                raise self.error("a predicate name")
+            elif text[:1] in _VAR_START:
+                self.pos += 1
+                if not canonical_vars:
+                    value = Var(varmap.setdefault(text, len(varmap) + 1))
+                elif m := _CANONICAL_VAR.fullmatch(text):
+                    value = Var(int(m.group(1)))
+                else:
+                    raise _error(self.source, offset,
+                                 f"expected canonical variable, found {text!r}")
+            else:
+                raise self.error("a term")
+            while open_:
+                open_[-1][1].append(value)
+                if self.peek() == ",":
+                    self.pos += 1
+                    break
+                self.expect(")", "')'")
+                name, args = open_.pop()
+                value = self.build(name, tuple(args), atom and not open_)
+            else:
+                return value
 
-    def term(self, varmap: dict[str, int], canonical_vars: bool = False) -> Term:
-        tok = self.peek()
-        if tok.kind == "var":
-            self.take()
-            if canonical_vars:
-                m = re.fullmatch(r"X([1-9][0-9]*)", tok.text)
-                if m is None:
-                    raise ParseError(f"expected canonical variable, found {tok.text!r}",
-                                     tok.line, tok.column)
-                return Var(int(m.group(1)))
-            if tok.text not in varmap:
-                varmap[tok.text] = len(varmap) + 1
-            return Var(varmap[tok.text])
-        if tok.kind == "name":
-            self.take()
-            args: tuple[Term, ...] = ()
-            if self.peek().kind == "lparen":
-                self.take()
-                items = [self.term(varmap, canonical_vars)]
-                while self.peek().kind == "comma":
-                    self.take()
-                    items.append(self.term(varmap, canonical_vars))
-                self.expect("rparen", "')'")
-                args = tuple(items)
-            _note(self.functors, tok.text, len(args), "functor")
-            return Fn(tok.text, args)
-        got = repr(tok.text) if tok.kind != "eof" else "end of input"
-        raise ParseError(f"expected a term, found {got}", tok.line, tok.column)
+    def build(self, name: str, args: tuple[Term, ...], is_atom: bool) -> Term | Atom:
+        if is_atom:
+            _note(self.predicates, name, len(args), "predicate")
+            return Atom(name, args)
+        _note(self.functors, name, len(args), "functor")
+        return Fn(name, args)
 
-    def atom(self, varmap: dict[str, int], canonical_vars: bool = False) -> Atom:
-        tok = self.expect("name", "a predicate name")
-        args: tuple[Term, ...] = ()
-        if self.peek().kind == "lparen":
-            self.take()
-            items = [self.term(varmap, canonical_vars)]
-            while self.peek().kind == "comma":
-                self.take()
-                items.append(self.term(varmap, canonical_vars))
-            self.expect("rparen", "')'")
-            args = tuple(items)
-        _note(self.predicates, tok.text, len(args), "predicate")
-        return Atom(tok.text, args)
+    def atoms(self, varmap: dict[str, int]) -> list[Atom]:
+        """A comma-separated list of atoms."""
+        atoms = [self.term(varmap, atom=True)]
+        while self.peek() == ",":
+            self.pos += 1
+            atoms.append(self.term(varmap, atom=True))
+        return atoms
 
     def clause(self) -> Clause:
         varmap: dict[str, int] = {}
-        head = self.atom(varmap)
+        head = self.term(varmap, atom=True)
         body: list[Atom] = []
-        if self.peek().kind == "implies":
-            self.take()
-            body.append(self.atom(varmap))
-            while self.peek().kind == "comma":
-                self.take()
-                body.append(self.atom(varmap))
-        self.expect("dot", "'.'")
-        names = tuple(nm for nm, _ in sorted(varmap.items(), key=lambda kv: kv[1]))
+        if self.peek() == ":-":
+            self.pos += 1
+            body = self.atoms(varmap)
+        self.expect(".", "'.'")
         # Variables were numbered by first occurrence, head before body, so the
-        # clause is already canonical.
-        return Clause(head, tuple(body), names)
+        # clause is already canonical, and `varmap` lists their names in order.
+        return Clause(head, tuple(body), tuple(varmap))
 
 
 def parse_program(source: str) -> Program:
     """Parse a whole program. Clause order is preserved."""
-    parser = _Parser(_tokenize(source))
+    parser = _Parser(source)
     clauses = []
-    while parser.peek().kind != "eof":
+    while parser.peek():
         clauses.append(parser.clause())
     return Program(tuple(clauses), _signature(parser.functors, parser.predicates))
 
@@ -569,17 +599,13 @@ class Goal:
 
 def parse_goal(source: str, signature: Signature | None = None) -> Goal:
     """Parse a comma-separated atom list; a trailing '.' is optional."""
-    parser = _Parser(_tokenize(source), signature)
+    parser = _Parser(source, signature)
     varmap: dict[str, int] = {}
-    atoms = [parser.atom(varmap)]
-    while parser.peek().kind == "comma":
-        parser.take()
-        atoms.append(parser.atom(varmap))
-    if parser.peek().kind == "dot":
-        parser.take()
-    parser.expect("eof", "end of input")
-    names = tuple(nm for nm, _ in sorted(varmap.items(), key=lambda kv: kv[1]))
-    return Goal(tuple(atoms), len(varmap), names)
+    atoms = parser.atoms(varmap)
+    if parser.peek() == ".":
+        parser.pos += 1
+    parser.expect("", "end of input")
+    return Goal(tuple(atoms), len(varmap), tuple(varmap))
 
 
 def parse_atom(source: str, signature: Signature | None = None) -> tuple[Atom, int]:
@@ -590,16 +616,16 @@ def parse_atom(source: str, signature: Signature | None = None) -> tuple[Atom, i
 
 def parse_canonical_atom(source: str, signature: Signature | None = None) -> Atom:
     """Parse an atom whose variables must already be spelled X1, X2, ..."""
-    parser = _Parser(_tokenize(source), signature)
-    atom = parser.atom({}, canonical_vars=True)
-    parser.expect("eof", "end of input")
+    parser = _Parser(source, signature)
+    atom = parser.term({}, canonical_vars=True, atom=True)
+    parser.expect("", "end of input")
     return atom
 
 
 def parse_canonical_term(source: str) -> Term:
-    parser = _Parser(_tokenize(source))
+    parser = _Parser(source)
     term = parser.term({}, canonical_vars=True)
-    parser.expect("eof", "end of input")
+    parser.expect("", "end of input")
     return term
 
 

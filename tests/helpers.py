@@ -178,6 +178,29 @@ def rebuilt(x: Term | Atom) -> Term | Atom:
     return Atom(x.pred, args) if isinstance(x, Atom) else Fn(x.name, args)
 
 
+def rename_oracle(x: Term | Atom, var_fn=None, store=None) -> Term | Atom:
+    """`x` rebuilt by a recursive walk: a variable bound in `store` becomes
+    its binding, walked in turn, and any other variable v becomes var_fn(v),
+    or stays as it is without `var_fn`."""
+    if isinstance(x, Var):
+        if store is not None and x.index in store:
+            return rename_oracle(store[x.index], var_fn, store)
+        return x if var_fn is None else var_fn(x)
+    args = tuple(rename_oracle(a, var_fn, store) for a in x.args)
+    return Atom(x.pred, args) if isinstance(x, Atom) else Fn(x.name, args)
+
+
+def random_store(rng: random.Random, nvars: int, depth: int = 3) -> dict[int, Term]:
+    """A random acyclic binding store: each x_i below x`nvars` is left free
+    or bound to a term over variables above i only."""
+    store = {}
+    for i in range(1, nvars):
+        if rng.random() < 0.5:
+            t = random_term(rng, nvars - i, depth)
+            store[i] = rename_oracle(t, lambda v, i=i: Var(v.index + i))
+    return store
+
+
 def print_term_oracle(t: Term, name=lambda i: f"X{i}") -> str:
     """Surface text of a term, by a recursive walk."""
     if isinstance(t, Var):

@@ -167,13 +167,37 @@ def test_deep_terms_exit_cleanly(capsys):
     deep = "s(" * 1000 + "0" + ")" * 1000
     code, out, err = run(capsys, "prove", PROGRAMS / "listnat.lp", f"nat({deep})",
                          "--depth", "1002")
+    # The prover's search still takes a frame per proof step.
     assert (code, out, err) == (65, "", "matchlog: term nested too deeply to process\n")
-    # Answers are read off an explicit-stack resolver and compared without
-    # recursion, so enumeration goes on well past this depth.
+    # Answers are read through the store by an explicit-stack walk and
+    # compared without recursion, so enumeration goes on well past this depth.
     code, out, err = run(capsys, "solve", PROGRAMS / "listnat.lp", "nat(X)",
                          "--max-answers", "600")
     assert (code, err) == (0, "")
     assert out.splitlines() == ["{X -> " + "s(" * k + "0" + ")" * k + "}" for k in range(600)]
+
+
+def test_goals_nested_3000_deep_answer(capsys):
+    # Parsing, the arity check and reading an answer keep their own stacks.
+    goal = "nat(" + "s(" * 3000 + "0" + ")" * 3000 + ")"
+    listnat = PROGRAMS / "listnat.lp"
+    code, out, err = run(capsys, "tree", listnat, goal, "--depth", "2")
+    assert (code, out.splitlines()[0], err) == (0, goal, "")
+    code, out, err = run(capsys, "prove", listnat, goal, "--depth", "3")
+    assert (code, out, err) == (2, "Unknown\n", "")
+    code, out, err = run(capsys, "solve", listnat, goal)
+    assert (code, out, err) == (0, "{}\n", "")
+
+
+def test_non_ground_answers_nested_600_deep(capsys, tmp_path):
+    # An answer is read through the store and renumbered in one
+    # explicit-stack walk, so a deep non-ground answer prints.
+    program = tmp_path / "up.lp"
+    program.write_text("up(X, X).\nup(X, Y) :- up(s(X), Y).\n")
+    code, out, err = run(capsys, "solve", program, "up(Z, Y)", "--max-answers", "600",
+                         "--strategy", "dfs")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["{Y -> " + "s(" * k + "Z" + ")" * k + "}" for k in range(600)]
 
 
 def test_terms_nested_300_deep_are_proved(capsys):

@@ -58,6 +58,20 @@ def test_fig_right_shape(listnat_plus):
     assert all(c.truncated for c in orn.children)
 
 
+def test_equal_subtrees_are_built_once(listnat_plus):
+    # list(cons(0, ...)) has two clauses, 3 and 4, whose bodies both reach
+    # the tail at the same depth and ceiling, so they share that subtree.
+    tail = "nil"
+    for _ in range(9):
+        tail = f"cons(0, {tail})"
+    goal, n = _goal(f"list(cons(0, {tail}))")
+    t = build_tree(listnat_plus, goal, n, 12)
+    by_clause, by_unfolding = t.root.children
+    assert (by_clause.clause_index, by_unfolding.clause_index) == (3, 4)
+    assert by_clause.children[1].atom == _goal(f"list({tail})")[0]
+    assert by_clause.children[1] is by_unfolding.children[0]
+
+
 def test_gc_tree_fresh_variables(gc):
     goal, n = _goal("connected(X, Y)")
     t = build_tree(gc, goal, n, 2)

@@ -21,7 +21,7 @@ from matchlog import (
     parse_atom,
     rename_apart,
 )
-from matchlog.substitution import resolve
+from matchlog.syntax import rename
 
 from helpers import (
     check_apply_compose_case,
@@ -31,7 +31,7 @@ from helpers import (
     enumerate_unifiers,
     ground_term_pool,
     random_atom,
-    random_term,
+    random_store,
 )
 
 
@@ -115,17 +115,6 @@ def test_rename_apart_returns_a_ground_clause_as_it_is():
         assert rename_apart(clause, 5) is clause
 
 
-def _random_store(rng, nvars):
-    """An acyclic binding store over x1..x`nvars`: x_i may be bound to a term
-    over variables above i only."""
-    store = {}
-    for i in range(1, nvars):
-        if rng.random() < 0.5:
-            t = random_term(rng, nvars - i, 3)
-            store[i] = apply(Substitution({j: Var(j + i) for j in range(1, nvars - i + 1)}), t)
-    return store
-
-
 def _resolved_by_fixpoint(store, x):
     while True:
         y = apply(Substitution(store), x)
@@ -137,7 +126,7 @@ def _resolved_by_fixpoint(store, x):
 def test_mgu_under_a_store_is_mgu_of_the_resolved_atoms():
     rng = random.Random(23)
     for _ in range(400):
-        store = _random_store(rng, 6)
+        store = random_store(rng, 6)
         before = dict(store)
         a = random_atom(rng, 6)
         b = random_atom(rng, 6, preds=((a.pred, len(a.args)),))
@@ -145,17 +134,17 @@ def test_mgu_under_a_store_is_mgu_of_the_resolved_atoms():
         assert mgu(a, b, store) == mgu(ra, rb)
         assert store == before
         for t in a.args:
-            assert resolve(t, store.get) == _resolved_by_fixpoint(store, t)
+            assert rename(t, bound=store.get) == _resolved_by_fixpoint(store, t)
 
 
-def test_resolve_and_occurs_check_do_not_recurse_on_depth():
+def test_reading_through_a_store_and_occurs_check_do_not_recurse_on_depth():
     depth = 5000
     chain = {i: Fn("s", (Var(i + 1),)) for i in range(1, depth)}
     chain[depth] = Fn("0")
     expected = Fn("0")
     for _ in range(depth - 1):
         expected = Fn("s", (expected,))
-    assert resolve(Var(1), chain.get) == expected
+    assert rename(Var(1), bound=chain.get) == expected
     deep = Var(1)
     for _ in range(depth):
         deep = Fn("s", (deep,))

@@ -26,7 +26,14 @@ from matchlog import (
     rename,
     rename_apart,
 )
-from matchlog.syntax import atom_vars, canonical_clause, max_var, rename_atom
+from matchlog.syntax import (
+    atom_vars,
+    canonical_clause,
+    max_var,
+    parse_canonical_atom,
+    parse_canonical_term,
+    rename_atom,
+)
 
 from helpers import (
     edge_program,
@@ -36,8 +43,10 @@ from helpers import (
     random_atom,
     random_fo_program,
     random_ground_program,
+    random_store,
     random_term,
     rebuilt,
+    rename_oracle,
 )
 
 
@@ -149,6 +158,54 @@ def test_syntax_error_positions():
         parse_program("nat(0.")
     with pytest.raises(ParseError):
         parse_program("nat(0)) .")
+
+
+PARSE_ERRORS = [
+    (parse_program, "nat(0).\nnat(#).", "unexpected character '#'", 2, 5),
+    # A bad character anywhere is reported before any parse error.
+    (parse_program, "nat(0 0).\n  é", "unexpected character 'é'", 2, 3),
+    (parse_program, "nat(s(0).", "expected ')', found '.'", 1, 9),
+    (parse_program, "nat(0)\nnat(1).", "expected '.', found 'nat'", 2, 1),
+    (parse_program, "nat(s(0)", "expected ')', found end of input", 1, 9),
+    (parse_program, "p(a)) .", "expected '.', found ')'", 1, 5),
+    (parse_program, "p :- X.", "expected a predicate name, found 'X'", 1, 6),
+    (parse_program, "% c\n  p(a) :-\n\tq(,).", "expected a term, found ','", 3, 4),
+    (parse_goal, "nat(", "expected a term, found end of input", 1, 5),
+    (parse_goal, "p(a),", "expected a predicate name, found end of input", 1, 6),
+    (parse_goal, "X(a)", "expected a predicate name, found 'X'", 1, 1),
+    (parse_goal, "p(a) q", "expected end of input, found 'q'", 1, 6),
+    (parse_canonical_atom, "p(X1, Y)", "expected canonical variable, found 'Y'", 1, 7),
+    (parse_canonical_term, "f(g(X0))", "expected canonical variable, found 'X0'", 1, 5),
+    (parse_canonical_atom, "p(X1) .", "expected end of input, found '.'", 1, 7),
+]
+
+
+@pytest.mark.parametrize("parse,text,message,line,column", PARSE_ERRORS,
+                         ids=[repr(case[1]) for case in PARSE_ERRORS])
+def test_parse_error_message_line_and_column(parse, text, message, line, column):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == f"{line}:{column}: {message}"
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_arities_are_noted_innermost_first():
+    with pytest.raises(ArityMismatchError) as err:
+        parse_program("q(f(f(a, b))).")
+    assert (err.value.symbol, err.value.arities) == ("f", (2, 1))
+
+
+def test_terms_nested_5000_deep_parse():
+    depth = 5000
+    deep = Var(1)
+    for _ in range(depth):
+        deep = Fn("s", (deep,))
+    text = "s(" * depth + "X" + ")" * depth
+    goal = parse_goal(f"nat({text}), nat(0)")
+    assert goal.atoms == (Atom("nat", (deep,)), Atom("nat", (Fn("0"),)))
+    clause = parse_program(f"nat({text}) :- nat(X).").clauses[0]
+    assert clause.head == Atom("nat", (deep,)) and clause.body == (Atom("nat", (Var(1),)),)
+    assert parse_canonical_term(text.replace("X", "X1")) == deep
 
 
 def test_arity_mismatch_error_names_both_arities():
@@ -285,6 +342,36 @@ def test_ground_input_is_returned_unchanged():
         assert rename_atom(a, lambda v: Fn("b")) is a
         assert apply(fail, t) is t and apply(fail, a) is a
         assert all(x is y for x, y in zip(apply(fail, (a, a)), (a, a)))
+
+
+def _first_occurrence():
+    """A stateful var_fn numbering variables 100, 101, ... as first met."""
+    seen: dict[int, Var] = {}
+    return lambda v: seen.setdefault(v.index, Var(100 + len(seen)))
+
+
+def test_rename_matches_a_recursive_oracle():
+    rng = random.Random(15)
+    for _ in range(400):
+        store = random_store(rng, 6)
+        t = random_term(rng, 6, rng.randint(1, 5))
+        a = random_atom(rng, 6, rng.randint(1, 4))
+        for x, walk in ((t, rename), (a, rename_atom)):
+            assert walk(x) is x and walk(x, bound={}.get) is x
+            assert walk(x, _first_occurrence()) == rename_oracle(x, _first_occurrence())
+            assert walk(x, bound=store.get) == rename_oracle(x, store=store)
+            assert (walk(x, _first_occurrence(), store.get)
+                    == rename_oracle(x, _first_occurrence(), store))
+
+
+def test_rename_does_not_recurse_on_depth():
+    depth = 5000
+    deep, image = Var(1), Fn("0")
+    for _ in range(depth):
+        deep, image = Fn("s", (deep,)), Fn("s", (image,))
+    assert rename(deep, lambda v: Fn("0")) == image
+    assert rename(deep, bound={1: Fn("0")}.get) == image
+    assert rename_atom(Atom("nat", (deep,)), lambda v: Fn("0")) == Atom("nat", (image,))
 
 
 def test_print_term_matches_a_recursive_oracle():
