@@ -15,6 +15,11 @@ branch outright only when its atom is built purely from root variables;
 if it mentions fresh variables the branch stays inconclusive, since fresh
 variables stand for arbitrary instantiations that a deeper or specialised
 derivation might still satisfy.
+
+Every walk that builds a value from a tree is one `fold`, post-order on an
+explicit stack, so depth costs no Python frames. `fold` makes each distinct
+item once: `build_tree` shares equal (atom, remaining depth, fresh ceiling)
+subtrees, and walks over a tree keep its sharing.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
+from typing import Any, Callable, Hashable
 
 from .syntax import (
     ArityMismatchError,
@@ -72,13 +78,54 @@ class CoTree:
     base: int  # arity of the variable context at the root; fresh vars live above it
 
 
-def _check_proof_node(node: AndNode) -> None:
+def fold(root: Any, key: Callable[[Any], Hashable], groups: Callable[[Any], list],
+         make: Callable[[Any, list], Any]) -> Any:
+    """The value of `root`, built post-order over an explicit stack.
+
+    `groups(x)` lists x's or-children as (label, items) pairs, and
+    `make(x, [(label, values), ...])` builds x's value from the values of
+    its items. Items with equal `key` are made once and share one value.
+    """
+    def frame(x: Any, k: Hashable) -> tuple:
+        gs = groups(x)
+        pending = gs[0][1] if len(gs) == 1 else [item for _, group in gs for item in group]
+        return x, k, gs, iter(pending), []
+
+    made: dict[Hashable, Any] = {}
+    stack = [frame(root, key(root))]
+    while True:
+        x, k, gs, pending, values = stack[-1]
+        for item in pending:
+            ik = key(item)
+            if ik not in made:
+                stack.append(frame(item, ik))
+                break
+            values.append(made[ik])
+        else:
+            stack.pop()
+            flat = iter(values)
+            value = made[k] = make(x, [(gs[0][0], values)] if len(gs) == 1 else [
+                (label, [next(flat) for _ in items]) for label, items in gs])
+            if not stack:
+                return value
+            stack[-1][4].append(value)
+
+
+def _ors(node: AndNode) -> list:
+    return [((o.clause_index, o.matcher), o.children) for o in node.children]
+
+
+def and_node(atom: Atom, ors: list, truncated: bool) -> AndNode:
+    """An and-node whose or-children `ors` labels (clause index, matcher)."""
+    return AndNode(atom, tuple(OrNode(i, m, tuple(kids)) for (i, m), kids in ors), truncated)
+
+
+def _check_proof_node(node: AndNode) -> list:
     if node.truncated:
         raise ValueError("proof trees may not contain truncated nodes")
     if len(node.children) != 1:
         raise ValueError("each and-node in a proof has exactly one or-child")
-    for child in node.children[0].children:
-        _check_proof_node(child)
+    return [(None, node.children[0].children)]
 
 
 @dataclass(frozen=True)
@@ -88,8 +135,8 @@ class ProofTree:
     root: AndNode
     base: int
 
-    def __post_init__(self) -> None:
-        _check_proof_node(self.root)
+    def __post_init__(self) -> None:  # checked as nodes are reached: pre-order
+        fold(self.root, id, _check_proof_node, lambda node, ors: None)
 
 
 @dataclass(frozen=True)
@@ -120,29 +167,18 @@ def build_tree(program: Program, goal: Atom, base: int, depth: int) -> CoTree:
     if max_var(goal) > base:
         raise ArityMismatchError(print_atom(goal), base, max_var(goal), "goal")
 
-    # A subtree depends only on its atom, its remaining depth and its fresh
-    # variable ceiling, so equal subtrees are built once and shared.
-    memo: dict[tuple[Atom, int, int], AndNode] = {}
+    # A subtree depends only on its atom, remaining depth and fresh ceiling.
+    def groups(x: tuple[Atom, int, int]) -> list:
+        atom, remaining, ceiling = x
+        out = []
+        for idx, theta, body in instances(program, atom, ceiling) if remaining else ():
+            c = program.clauses[idx]
+            below = ceiling + c.var_count - c.head_var_count
+            out.append(((idx, theta), [(b, remaining - 1, below) for b in body]))
+        return out
 
-    def expand(atom: Atom, remaining: int, ceiling: int) -> AndNode:
-        key = (atom, remaining, ceiling)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if remaining == 0:
-            node = AndNode(atom, (), True)
-        else:
-            ors = []
-            for idx, theta, body in instances(program, atom, ceiling):
-                clause = program.clauses[idx]
-                child_ceiling = ceiling + clause.var_count - clause.head_var_count
-                ors.append(OrNode(idx, theta,
-                                  tuple(expand(b, remaining - 1, child_ceiling) for b in body)))
-            node = AndNode(atom, tuple(ors), False)
-        memo[key] = node
-        return node
-
-    return CoTree(expand(goal, depth, base), base)
+    return CoTree(fold((goal, depth, base), lambda x: x, groups,
+                       lambda x, ors: and_node(x[0], ors, x[1] == 0)), base)
 
 
 def truncate_tree(t: CoTree, depth: int) -> CoTree:
@@ -150,20 +186,14 @@ def truncate_tree(t: CoTree, depth: int) -> CoTree:
     if depth < 0:
         raise ValueError("depth must be >= 0")
 
-    def cut(node: AndNode, remaining: int) -> AndNode:
-        if remaining == 0:
-            return AndNode(node.atom, (), True)
-        return AndNode(
-            node.atom,
-            tuple(
-                OrNode(o.clause_index, o.matcher,
-                       tuple(cut(c, remaining - 1) for c in o.children))
-                for o in node.children
-            ),
-            node.truncated,
-        )
+    def groups(x: tuple[AndNode, int]) -> list:
+        node, remaining = x
+        return [(label, [(c, remaining - 1) for c in kids])
+                for label, kids in _ors(node)] if remaining else []
 
-    return CoTree(cut(t.root, depth), t.base)
+    return CoTree(fold((t.root, depth), lambda x: (id(x[0]), x[1]), groups,
+                       lambda x, ors: and_node(x[0].atom, ors, x[0].truncated or x[1] == 0)),
+                  t.base)
 
 
 # ---------------------------------------------------------------------------
@@ -179,42 +209,19 @@ def success_subtree(t: CoTree) -> TreeOutcome:
     otherwise (the search ran into truncation or into dead ends that
     mention fresh variables).
     """
-    cache: dict[int, Status] = {}
+    # A node's value: its verdict, and the proof through its first proved or-child.
+    def make(node: AndNode, ors: list) -> tuple[Status, AndNode | None]:
+        if node.truncated or not ors:
+            dead = not node.truncated and max_var(node.atom) <= t.base
+            return (Status.FAILED if dead else Status.UNKNOWN), None
+        status = max(min((s for s, _ in kids), default=Status.PROVED) for _, kids in ors)
+        for label, kids in ors:
+            if all(s is Status.PROVED for s, _ in kids):
+                return status, and_node(node.atom, [(label, [p for _, p in kids])], False)
+        return status, None
 
-    def ev(node: AndNode) -> Status:
-        hit = cache.get(id(node))
-        if hit is not None:
-            return hit
-        if node.truncated:
-            res = Status.UNKNOWN
-        elif not node.children:
-            res = Status.UNKNOWN if max_var(node.atom) > t.base else Status.FAILED
-        else:
-            res = Status.FAILED
-            for o in node.children:
-                branch = Status.PROVED
-                for c in o.children:
-                    branch = min(branch, ev(c))
-                    if branch is Status.FAILED:
-                        break
-                res = max(res, branch)
-                if res is Status.PROVED:
-                    break
-        cache[id(node)] = res
-        return res
-
-    def extract(node: AndNode) -> AndNode:
-        for o in node.children:
-            if all(ev(c) is Status.PROVED for c in o.children):
-                chosen = OrNode(o.clause_index, o.matcher,
-                                tuple(extract(c) for c in o.children))
-                return AndNode(node.atom, (chosen,), False)
-        raise AssertionError("no provable or-child in a proved node")
-
-    status = ev(t.root)
-    if status is Status.PROVED:
-        return TreeOutcome(status, ProofTree(extract(t.root), t.base))
-    return TreeOutcome(status)
+    status, proof = fold(t.root, id, _ors, make)
+    return TreeOutcome(status, None if proof is None else ProofTree(proof, t.base))
 
 
 # ---------------------------------------------------------------------------
@@ -232,18 +239,12 @@ def map_tree(f: ArrowSubstitution, t: CoTree) -> CoTree:
         raise ArityMismatchError("tree base", f.target, t.base, "arrow target")
     var_fn = f.rename_var
 
-    def walk(node: AndNode) -> AndNode:
-        ors = tuple(
-            OrNode(
-                o.clause_index,
-                Substitution({i: rename(v, var_fn) for i, v in o.matcher.items()}),
-                tuple(walk(c) for c in o.children),
-            )
-            for o in node.children
-        )
-        return AndNode(rename_atom(node.atom, var_fn), ors, node.truncated)
+    def make(node: AndNode, ors: list) -> AndNode:
+        return and_node(rename_atom(node.atom, var_fn), [
+            ((i, Substitution({j: rename(v, var_fn) for j, v in m.items()})), kids)
+            for (i, m), kids in ors], node.truncated)
 
-    return CoTree(walk(t.root), f.source)
+    return CoTree(fold(t.root, id, _ors, make), f.source)
 
 
 def tree_leq(small: CoTree, big: CoTree) -> bool:
@@ -252,8 +253,9 @@ def tree_leq(small: CoTree, big: CoTree) -> bool:
     truncations at the same or-depth over the same base."""
     if small.base != big.base:
         return False
-
-    def emb(a: AndNode, b: AndNode) -> bool:
+    stack = [(small.root, big.root)]
+    while stack:
+        a, b = stack.pop()
         if a.atom != b.atom or a.truncated != b.truncated:
             return False
         by_clause = {o.clause_index: o for o in b.children}
@@ -261,11 +263,8 @@ def tree_leq(small: CoTree, big: CoTree) -> bool:
             o2 = by_clause.get(o.clause_index)
             if o2 is None or len(o.children) != len(o2.children):
                 return False
-            if not all(emb(x, y) for x, y in zip(o.children, o2.children)):
-                return False
-        return True
-
-    return emb(small.root, big.root)
+            stack.extend(zip(o.children, o2.children))
+    return True
 
 
 def tree_equal_upto_renaming(a: CoTree, b: CoTree) -> bool:
@@ -296,75 +295,70 @@ def tree_equal_upto_renaming(a: CoTree, b: CoTree) -> bool:
 # Rendering
 # ---------------------------------------------------------------------------
 
-def _ascii_lines(node: AndNode, out: list[str], prefix: str, connector: str) -> None:
-    mark = " …" if node.truncated else ""
-    out.append(f"{prefix}{connector}{print_atom(node.atom)}{mark}")
-    child_prefix = prefix
-    if connector:
-        child_prefix = prefix + ("   " if connector == "└─ " else "│  ")
-    n = len(node.children)
-    for i, o in enumerate(node.children):
-        last = i == n - 1
-        branch = "└─ " if last else "├─ "
-        cont = "   " if last else "│  "
-        out.append(f"{child_prefix}{branch}•[{o.clause_index}]")
-        kn = len(o.children)
-        for j, c in enumerate(o.children):
-            klast = j == kn - 1
-            _ascii_lines(c, out, child_prefix + cont,
-                         "└─ " if klast else "├─ ")
+def _ascii_text(root: AndNode) -> str:
+    # Pre-order over an explicit stack of (and-node, prefix, connector)
+    # entries and, as (None, line, None), ready or-node lines.
+    lines, stack = [], [(root, "", "")]
+    while stack:
+        node, prefix, connector = stack.pop()
+        if node is None:
+            lines.append(prefix)
+            continue
+        mark = " …" if node.truncated else ""
+        lines.append(f"{prefix}{connector}{print_atom(node.atom)}{mark}")
+        if connector:
+            prefix += "   " if connector == "└─ " else "│  "
+        branch = "└─ "  # the children are pushed last first
+        for o in reversed(node.children):
+            cont, kid = prefix + ("   " if branch == "└─ " else "│  "), "└─ "
+            for c in reversed(o.children):
+                stack.append((c, cont, kid))
+                kid = "├─ "
+            stack.append((None, f"{prefix}{branch}•[{o.clause_index}]", None))
+            branch = "├─ "
+    return "\n".join(lines) + "\n"
 
 
 def _dot_text(root: AndNode) -> str:
-    lines = ["digraph cotree {", "  rankdir=TB;"]
-    counter = 0
-
-    def fresh_id() -> str:
-        nonlocal counter
-        nid = f"n{counter}"
-        counter += 1
-        return nid
-
-    def walk_and(node: AndNode) -> str:
-        nid = fresh_id()
-        style = ", style=dashed" if node.truncated else ""
-        lines.append(f'  {nid} [shape=box, label="{print_atom(node.atom)}"{style}];')
-        for o in node.children:
-            oid = fresh_id()
-            lines.append(f"  {oid} [shape=point];")
-            lines.append(f"  {nid} -> {oid};")
-            for c in o.children:
-                cid = walk_and(c)
-                lines.append(f"  {oid} -> {cid};")
-        return nid
-
-    walk_and(root)
+    # Pre-order over an explicit stack of (node, parent id) entries; the edge
+    # into an and-node is pushed as (None, line), to follow its subtree.
+    lines, stack, count = ["digraph cotree {", "  rankdir=TB;"], [(root, None)], 0
+    while stack:
+        x, parent = stack.pop()
+        if x is None:
+            lines.append(parent)
+            continue
+        nid, count = f"n{count}", count + 1
+        if type(x) is OrNode:
+            lines += [f"  {nid} [shape=point];", f"  {parent} -> {nid};"]
+        else:
+            style = ", style=dashed" if x.truncated else ""
+            lines.append(f'  {nid} [shape=box, label="{print_atom(x.atom)}"{style}];')
+            if parent is not None:
+                stack.append((None, f"  {parent} -> {nid};"))
+        for c in reversed(x.children):
+            stack.append((c, nid))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _json_obj(node: AndNode, base: int | None = None) -> dict:
-    obj: dict = {"kind": "and", "atom": print_atom(node.atom), "truncated": node.truncated}
-    if base is not None:
-        obj["base"] = base
-    obj["children"] = [
-        {
-            "kind": "or",
-            "clause": o.clause_index,
-            "matcher": {var_name(i): print_term(v) for i, v in o.matcher.items()},
-            "children": [_json_obj(c) for c in o.children],
-        }
-        for o in node.children
-    ]
-    return obj
+def _json_obj(root: AndNode, base: int) -> dict:
+    def make(node: AndNode, ors: list) -> dict:
+        obj: dict = {"kind": "and", "atom": print_atom(node.atom), "truncated": node.truncated}
+        if node is root:
+            obj["base"] = base
+        obj["children"] = [{"kind": "or", "clause": i,
+                            "matcher": {var_name(j): print_term(v) for j, v in m.items()},
+                            "children": kids} for (i, m), kids in ors]
+        return obj
+
+    return fold(root, id, _ors, make)
 
 
 def render(t: CoTree | ProofTree, fmt: str = "ascii") -> str:
     """Deterministic rendering; `fmt` is one of ascii, dot, json."""
     if fmt == "ascii":
-        out: list[str] = []
-        _ascii_lines(t.root, out, "", "")
-        return "\n".join(out) + "\n"
+        return _ascii_text(t.root)
     if fmt == "dot":
         return _dot_text(t.root)
     if fmt == "json":
@@ -376,19 +370,11 @@ def load_tree_json(text: str, signature: Signature | None = None) -> CoTree:
     """Rebuild a tree from its JSON rendering."""
     data = json.loads(text)
 
-    def load_and(obj: dict) -> AndNode:
-        atom = parse_canonical_atom(obj["atom"], signature)
-        ors = tuple(
-            OrNode(
-                int(o["clause"]),
-                Substitution({
-                    int(k[1:]): parse_canonical_term(v)
-                    for k, v in o.get("matcher", {}).items()
-                }),
-                tuple(load_and(c) for c in o["children"]),
-            )
-            for o in obj["children"]
-        )
-        return AndNode(atom, ors, bool(obj["truncated"]))
+    def make(obj: dict, ors: list) -> AndNode:
+        return and_node(parse_canonical_atom(obj["atom"], signature), [
+            ((int(o["clause"]), Substitution({int(k[1:]): parse_canonical_term(v)
+                                              for k, v in o.get("matcher", {}).items()})), kids)
+            for o, kids in ors], bool(obj["truncated"]))
 
-    return CoTree(load_and(data), int(data["base"]))
+    return CoTree(fold(data, id, lambda obj: [(o, o["children"]) for o in obj["children"]], make),
+                  int(data["base"]))

@@ -15,7 +15,9 @@ cross-checked in the test suite.
 
 from __future__ import annotations
 
-from .cotree import AndNode, OrNode, ProofTree, Status, TreeOutcome
+from typing import Generator
+
+from .cotree import ProofTree, Status, TreeOutcome, and_node, fold
 from .substitution import instances
 from .syntax import Atom, Program, renumbering, rename_atom
 
@@ -33,20 +35,23 @@ def tm_prove(program: Program, goal: Atom, depth: int) -> TreeOutcome:
     base = goal.max_var
     memo: dict[tuple[Atom, int], Status] = {}
 
-    def status(atom: Atom, remaining: int) -> Status:
+    def search(atom: Atom, remaining: int) -> Status | Generator:
+        """The status of `atom` if it is settled, else a generator that yields
+        each (subgoal, remaining), is sent its status and returns `atom`'s."""
         if remaining == 0:
             return Status.UNKNOWN
         top = atom.max_var
         # renumbering(base) is the identity on an atom over x1..x`base`.
         key = (atom if top <= base else rename_atom(atom, renumbering(base, {})), remaining)
         hit = memo.get(key)
-        if hit is not None:
-            return hit
+        return expand(atom, remaining, top, key) if hit is None else hit
+
+    def expand(atom: Atom, remaining: int, top: int, key: tuple[Atom, int]) -> Generator:
         best = None
         for _, _, body in instances(program, atom, max(base, top)):
             branch = Status.PROVED
             for sub in body:
-                branch = min(branch, status(sub, remaining - 1))
+                branch = min(branch, (yield sub, remaining - 1))
                 if branch is Status.FAILED:
                     break
             best = branch if best is None else max(best, branch)
@@ -57,29 +62,31 @@ def tm_prove(program: Program, goal: Atom, depth: int) -> TreeOutcome:
         memo[key] = best
         return best
 
-    def frame(atom: Atom, remaining: int) -> tuple:
-        """The first instance whose whole body is proved, with an empty list
-        for the subtrees of its body."""
+    def status(atom: Atom, remaining: int) -> Status:
+        # One suspended `expand` per open subgoal on an explicit stack, so
+        # proof depth costs no Python frames.
+        stack, value = [], search(atom, remaining)
+        while stack or type(value) is not Status:
+            if type(value) is not Status:
+                stack.append(value)
+                value = None
+            try:
+                value = search(*stack[-1].send(value))
+            except StopIteration as done:
+                stack.pop()
+                value = done.value
+        return value
+
+    def chosen(x: tuple[Atom, int]) -> list:
+        """The first instance of `x` whose whole body is proved."""
+        atom, remaining = x
         for idx, theta, body in instances(program, atom, max(base, atom.max_var)):
             if all(status(sub, remaining - 1) is Status.PROVED for sub in body):
-                return atom, remaining, idx, theta, body, []
+                return [((idx, theta), [(sub, remaining - 1) for sub in body])]
         raise AssertionError("proof extraction on an unproved goal")
-
-    def extract(atom: Atom, remaining: int) -> AndNode:
-        # Post-order over an explicit stack, so proof depth costs no frames.
-        stack = [frame(atom, remaining)]
-        while True:
-            atom, remaining, idx, theta, body, kids = stack[-1]
-            if len(kids) < len(body):
-                stack.append(frame(body[len(kids)], remaining - 1))
-                continue
-            stack.pop()
-            node = AndNode(atom, (OrNode(idx, theta, tuple(kids)),), False)
-            if not stack:
-                return node
-            stack[-1][-1].append(node)
 
     outcome = status(goal, depth)
     if outcome is Status.PROVED:
-        return TreeOutcome(outcome, ProofTree(extract(goal, depth), base))
+        proof = fold((goal, depth), lambda x: x, chosen, lambda x, ors: and_node(x[0], ors, False))
+        return TreeOutcome(outcome, ProofTree(proof, base))
     return TreeOutcome(outcome)

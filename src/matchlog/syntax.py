@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 import string
+from collections import ChainMap
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import is_
@@ -394,7 +395,12 @@ class Program:
 
     def check_atom(self, a: Atom) -> None:
         """Raise ArityMismatchError if `a` conflicts with this program's signature."""
-        _note_atom(a, dict(self.signature.functors), dict(self.signature.predicates))
+        sig, functors, predicates = self.signature, {}, {}
+        _note_atom(a, functors, predicates)  # a clash inside `a` raises here
+        if not (functors.items() <= sig.functor_arities.items()
+                and predicates.items() <= sig.predicate_arities.items()):
+            # A name the signature lacks, or a clash with it: note `a` over the signature.
+            _note_atom(a, ChainMap({}, sig.functor_arities), ChainMap({}, sig.predicate_arities))
 
     @cached_property
     def _first_arg_index(self) -> dict[str, _PredIndex]:

@@ -164,10 +164,10 @@ def test_bad_numeric_bounds_are_usage_errors(capsys):
 
 
 def test_deep_terms_exit_cleanly(capsys):
-    deep = "s(" * 1000 + "0" + ")" * 1000
+    deep = "s(" * 300 + "0" + ")" * 300
     code, out, err = run(capsys, "prove", PROGRAMS / "listnat.lp", f"nat({deep})",
-                         "--depth", "1002")
-    # The prover's search still takes a frame per proof step.
+                         "--depth", "302", "--format", "json")
+    # The JSON encoder still recurses on the depth of the proof.
     assert (code, out, err) == (65, "", "matchlog: term nested too deeply to process\n")
     # Answers are read through the store by an explicit-stack walk and
     # compared without recursion, so enumeration goes on well past this depth.
@@ -175,6 +175,14 @@ def test_deep_terms_exit_cleanly(capsys):
                          "--max-answers", "600")
     assert (code, err) == (0, "")
     assert out.splitlines() == ["{X -> " + "s(" * k + "0" + ")" * k + "}" for k in range(600)]
+
+
+def test_proofs_1000_steps_deep_are_proved(capsys):
+    # The prover's search and proof extraction keep their own stacks.
+    deep = "s(" * 1000 + "0" + ")" * 1000
+    code, out, err = run(capsys, "prove", PROGRAMS / "listnat.lp", f"nat({deep})",
+                         "--depth", "1002")
+    assert (code, out.splitlines()[0], err) == (0, "Proved", "")
 
 
 def test_goals_nested_3000_deep_answer(capsys):

@@ -13,9 +13,11 @@ from matchlog import (
     CoTree,
     Fn,
     OrNode,
+    ProofTree,
     Status,
     Var,
     apply,
+    parse_program,
     arrow_apply,
     build_tree,
     load_tree_json,
@@ -70,6 +72,51 @@ def test_equal_subtrees_are_built_once(listnat_plus):
     assert (by_clause.clause_index, by_unfolding.clause_index) == (3, 4)
     assert by_clause.children[1].atom == _goal(f"list({tail})")[0]
     assert by_clause.children[1] is by_unfolding.children[0]
+
+
+def _and_nodes(t):
+    """The distinct and-nodes of a tree, by identity."""
+    seen, stack = {}, [t.root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(c for o in node.children for c in o.children)
+    return seen
+
+
+def test_tree_walks_keep_shared_subtrees(listnat_plus):
+    # Cutting and mapping make each distinct node once, so the result is as
+    # small as the tree it came from, not its full expansion.
+    goal, n = _goal("list(" + "cons(0, " * 12 + "nil" + ")" * 12 + ")")
+    t = build_tree(listnat_plus, goal, n, 14)
+    assert len(_and_nodes(t)) == 25
+    assert len(_and_nodes(truncate_tree(t, 14))) == 25
+    assert len(_and_nodes(map_tree(ArrowSubstitution.identity(n), t))) == 25
+    assert tree_leq(truncate_tree(t, 14), map_tree(ArrowSubstitution.identity(n), t))
+
+
+def _chain(k):
+    """r(n0). and r(ni) :- r(n(i-1)). for i up to k: a proof k + 1 steps deep."""
+    return parse_program("r(n0).\n" + "".join(f"r(n{i}) :- r(n{i - 1}).\n"
+                                              for i in range(1, k + 1)))
+
+
+def test_trees_1500_layers_deep_take_no_frames():
+    program = _chain(1500)
+    goal, n = _goal("r(n1500)")
+    t = build_tree(program, goal, n, 1502)
+    assert len(_and_nodes(t)) == 1501
+    mapped = map_tree(ArrowSubstitution.identity(n), truncate_tree(t, 1502))
+    assert tree_leq(mapped, t) and tree_leq(t, mapped)
+    outcome = success_subtree(t)
+    assert outcome.is_proved
+    assert tree_leq(truncate_tree(outcome.proof, 1502), t)
+    ascii_lines = render(outcome.proof).splitlines()
+    assert len(ascii_lines) == 2 * 1501
+    assert (ascii_lines[0], ascii_lines[-1].strip()) == ("r(n1500)", "└─ •[0]")
+    dot = render(t, "dot").splitlines()
+    assert len(dot) == 2 + 1501 + 3 * 1501 - 1 + 1 and dot[-1] == "}"
 
 
 def test_gc_tree_fresh_variables(gc):
@@ -316,6 +363,17 @@ def test_json_round_trip_random_trees():
         goal = Atom(pred, tuple(Var(j) for j in range(1, arity + 1)))
         t = build_tree(program, goal, arity, rng.randint(0, 3))
         assert load_tree_json(render(t, "json"), program.signature) == t
+
+
+def test_proof_tree_rejects_open_and_branching_nodes(listnat_plus):
+    g, n = _goal("list(cons(0, nil))")
+    with pytest.raises(ValueError, match="exactly one or-child"):
+        ProofTree(build_tree(listnat_plus, g, n, 4).root, n)  # clauses 3 and 4 both match
+    with pytest.raises(ValueError, match="truncated"):
+        ProofTree(build_tree(listnat_plus, g, n, 0).root, n)
+    proof = success_subtree(build_tree(listnat_plus, g, n, 4)).proof
+    with pytest.raises(ValueError, match="truncated"):
+        ProofTree(truncate_tree(proof, 1).root, n)  # a cut below the root
 
 
 def test_success_subtree_and_prover_pick_same_proof(listnat_plus, gc):

@@ -14,6 +14,7 @@ from matchlog import (
     arrow_apply,
     build_tree,
     parse_atom,
+    parse_program,
     success_subtree,
     tm_prove,
 )
@@ -185,3 +186,23 @@ def test_proof_steps_build_no_terms(listnat, monkeypatch):
             assert tm_prove(listnat, goal, n + 1).is_proved
         counts[n] = built[0]
     assert counts[50] == counts[200], counts
+
+
+def test_proofs_1500_steps_deep_take_no_frames():
+    # The search keeps its open subgoals on an explicit stack, and proof
+    # extraction is a fold, so proof depth costs no Python frames.
+    k = 1500
+    program = parse_program("r(n0).\n" + "".join(f"r(n{i}) :- r(n{i - 1}).\n"
+                                                  for i in range(1, k + 1)))
+    goal, _ = parse_atom(f"r(n{k})")
+    assert tm_prove(program, goal, k).status is Status.UNKNOWN
+    result = tm_prove(program, goal, k + 1)
+    assert result.is_proved
+    node, clauses = result.proof.root, []
+    while True:
+        (orn,) = node.children
+        clauses.append(orn.clause_index)
+        if not orn.children:
+            break
+        (node,) = orn.children
+    assert clauses == list(range(k, -1, -1))

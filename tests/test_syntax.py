@@ -222,6 +222,19 @@ def test_parse_atom_checks_signature(listnat):
         parse_atom("nat(s(0, 0))", listnat.signature)
 
 
+def test_check_atom_reads_the_signature_without_changing_it(listnat):
+    signature = listnat.signature
+    listnat.check_atom(parse_atom("list(cons(f(0), g(0, nil)))")[0])
+    with pytest.raises(ArityMismatchError):
+        listnat.check_atom(parse_atom("nat(s(0, 0))")[0])
+    # An unknown functor is noted per atom, so two arities in one atom clash.
+    with pytest.raises(ArityMismatchError) as err:
+        listnat.check_atom(parse_atom("list(cons(f(0), f(0, nil)))")[0])
+    assert err.value.symbol == "f" and set(err.value.arities) == {1, 2}
+    listnat.check_atom(parse_atom("list(f(0, nil))")[0])
+    assert listnat.signature == signature and "f" not in signature.functor_arities
+
+
 def test_var_names_do_not_affect_equality():
     a = parse_program("p(X) :- q(X).").clauses[0]
     b = parse_program("p(Long) :- q(Long).").clauses[0]
