@@ -57,7 +57,7 @@ from .cotree import (
     tree_leq,
     truncate_tree,
 )
-from .engine_tm import tm_prove
+from .engine_tm import tm_prove, tm_status
 from .engine_sld import (
     Answer,
     BridgeReport,
@@ -88,6 +88,7 @@ from .coalgebra import (
     pff_leq,
     pp_leq,
     project_approximant,
+    rebase,
     unfold,
 )
 

@@ -238,7 +238,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             coalgebra.approximant_matches_tree(g, atom, n)
             for n in range(args.levels + 1)
         )
-        proved = engine_tm.tm_prove(program, atom, depth).is_proved
+        proved = engine_tm.tm_status(program, atom, depth) is Status.PROVED
         lfp_ok = proved == (atom in entailed)
         if not (levels_ok and lfp_ok):
             bad += 1

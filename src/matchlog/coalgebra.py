@@ -12,7 +12,8 @@ indices n+1, n+2, ... It reads them off `substitution.instances`, the step
 that also builds each layer of the and-or tree. The result is kept as a
 canonical representative (minimal fresh count, fresh numbering fixed by
 taking the least renaming), so that literal equality decides equality of the
-underlying quotient. Arrows act on these elements by substitution on the
+underlying quotient. `rebase` moves an element to another base, shifting
+its fresh block. Arrows act on these elements by substitution on the
 base and uniform renumbering of the fresh block, and `lax_square` compares
 acting-then-stepping against stepping-then-acting: the first is always below
 the second in the subset order, with equality whenever the arrow is an
@@ -288,6 +289,26 @@ def pff_map(f: ArrowSubstitution, e: PffElement) -> PffElement:
         f.source, [frozenset(rename_atom(a, f.rename_var) for a in s) for s in e.body])
 
 
+def rebase(e: PffElement, base: int) -> PffElement:
+    """The same element over `base` variables, its fresh block moved to
+    base+1, base+2, ...; `base` must be at least every base variable the
+    body mentions.
+
+    A moved fresh block is re-canonicalised, because the canonical numbering
+    compares printed names and x10 sorts before x9.
+    """
+    if base == e.base:
+        return e
+    if not e.fresh:
+        return PffElement(base, 0, e.body)
+    shift, top = base - e.base, e.base
+
+    def var_fn(v: Var) -> Term:
+        return Var(v.index + shift) if v.index > top else v
+
+    return PffElement.canonical(base, [[rename_atom(a, var_fn) for a in s] for s in e.body])
+
+
 def pp_leq(a: Iterable[Iterable[Atom]], b: Iterable[Iterable[Atom]]) -> bool:
     """Set-of-sets order over a discrete base: every member of `a` is
     contained in some member of `b`."""
@@ -362,7 +383,8 @@ def lax_square(step: Callable[[Atom, int], PffElement], f: ArrowSubstitution,
     """
     lhs = pff_map(f, step(atom, f.target))
     rhs = step(arrow_apply(f, atom), f.source)
-    return LaxSquare(f, atom, lhs, rhs, pff_leq(lhs, rhs), lhs == rhs)
+    strict = lhs == rhs  # equal elements are below each other: no search
+    return LaxSquare(f, atom, lhs, rhs, strict or pff_leq(lhs, rhs), strict)
 
 
 # ---------------------------------------------------------------------------
@@ -454,27 +476,37 @@ def lax_sweep(program: Program,
     against every supplied atom viewed at base m.
 
     A square's verdict only depends on the arrow components at variables the
-    atom actually uses, so the sweep checks one square per restriction (a
-    class) and counts it `len(pool) ** (m - |used|)` times. Its witness arrow
-    sends every unused position to `pool[0]`, the first arrow of the class in
-    product order. The injective arrows of a class that is not strict are
-    enumerated directly, as permutations of the variables the restriction
-    leaves unused, so the cost grows with classes and with those extensions,
-    never with the number of arrows.
+    atom actually uses (its restriction, or class), and it is counted
+    `len(pool) ** (m - |used|)` times. Its witness arrow sends every unused
+    position to `pool[0]`, the first arrow of the class in product order.
+
+    Neither side of a square mentions the target m, and the source n only
+    shifts their fresh blocks. So each (atom, restriction) pair is decided
+    once, by `lax_square` on the arrow n->max_var(atom), with one `pff_step`
+    per atom at its own arity, moved to base n by `rebase`. A strict pair
+    keeps only its verdict. A pair that is not strict keeps its square, and
+    each later (m, n) re-emits it with its own witness and rebased sides.
+    The injective arrows of such a class are enumerated directly, as
+    permutations of the variables the restriction leaves unused, so the
+    cost grows with distinct pairs and with those extensions, never with
+    the number of arrows.
     """
     if atom_bases is None:
         atom_bases = default_check_atoms(program, max_arity)
     terms_by_n = [enumerate_terms(program.signature, n, term_depth)
                   for n in range(max_arity + 1)]
-    step_cache: dict[tuple[Atom, int], PffElement] = {}
+    stepped: dict[Atom, PffElement] = {}
 
     def step(atom: Atom, base: int) -> PffElement:
-        key = (atom, base)
-        hit = step_cache.get(key)
-        if hit is None:
-            hit = step_cache[key] = pff_step(program, atom, base)
-        return hit
+        e = stepped.get(atom)
+        if e is None:
+            e = stepped[atom] = pff_step(program, atom, atom.max_var)
+        return rebase(e, base)
 
+    # Decided (atom, restriction) pairs: the strict ones, and the square of
+    # each one that is not.
+    strict: set[tuple[Atom, tuple[Term, ...]]] = set()
+    kept: dict[tuple[Atom, tuple[Term, ...]], LaxSquare] = {}
     squares = 0
     classes = 0
     strict_ok = 0
@@ -483,6 +515,9 @@ def lax_sweep(program: Program,
     injection_failures: list[LaxSquare] = []
 
     for atom, m in atom_bases:
+        top = atom.max_var
+        if top > m:
+            pff_step(program, atom, m)  # raises ArityMismatchError
         used = tuple(sorted(set(atom_vars(atom))))
         free = [i for i in range(1, m + 1) if i not in used]
         for n in range(max_arity + 1):
@@ -490,23 +525,34 @@ def lax_sweep(program: Program,
             if m and not pool:
                 continue  # no arrow n->m exists
             weight = len(pool) ** len(free)
+            classes += len(pool) ** len(used)
+            squares += len(pool) ** m
             injective: list[LaxSquare] = []
             # Restrictions in product order meet the classes in the order a
             # walk over pool^m first meets them.
             for fkey in itertools.product(pool, repeat=len(used)):
+                key = (atom, fkey)
+                if key in strict:
+                    strict_ok += weight
+                    continue
                 tup = list(pool[:1] * m)
                 for i, t in zip(used, fkey):
                     tup[i - 1] = t
-                sq = lax_square(step, ArrowSubstitution(n, m, tuple(tup)), atom)
-                classes += 1
-                squares += weight
+                sq = kept.get(key)
+                if sq is None:
+                    sq = lax_square(step, ArrowSubstitution(n, top, tuple(tup[:top])), atom)
+                    if sq.strict_ok:
+                        strict.add(key)
+                        strict_ok += weight
+                        continue
+                    kept[key] = sq
+                sq = LaxSquare(ArrowSubstitution(n, m, tuple(tup)), atom,
+                               rebase(sq.lhs, n), rebase(sq.rhs, n), sq.lax_ok, False)
                 if not sq.lax_ok:
                     lax_failures.append(sq)
-                elif not sq.strict_ok:
+                else:
                     equality_failures.append(sq)
-                if sq.strict_ok:
-                    strict_ok += weight
-                elif is_var_injection(fkey):
+                if is_var_injection(fkey):
                     rest = [Var(i) for i in range(1, n + 1) if Var(i) not in fkey]
                     for perm in itertools.permutations(rest, len(free)):
                         for i, v in zip(free, perm):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .cotree import Status
-from .engine_tm import tm_prove
+from .engine_tm import tm_status
 from .substitution import Substitution, apply, compose, mgu, rename_apart
 from .syntax import Atom, Program, Term, Var, max_var, print_atom, rename, renumbering
 
@@ -242,5 +242,5 @@ def check_bridge(program: Program, goal: Atom, limits: SldLimits | None = None,
     for ans in result.answers:
         instance = apply(ans.bindings, goal)
         depth = tm_depth if tm_depth is not None else max(1, 3 * ans.steps)
-        entries.append(BridgeEntry(ans, instance, tm_prove(program, instance, depth).status))
+        entries.append(BridgeEntry(ans, instance, tm_status(program, instance, depth)))
     return BridgeReport(goal, tuple(entries), result.exhausted)

@@ -15,7 +15,7 @@ cross-checked in the test suite.
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Callable, Generator
 
 from .cotree import ProofTree, Status, TreeOutcome, and_node, fold
 from .substitution import instances
@@ -23,7 +23,37 @@ from .syntax import Atom, Program, renumbering, rename_atom
 
 
 def tm_prove(program: Program, goal: Atom, depth: int) -> TreeOutcome:
-    """Decide entailment of `goal` up to `depth` clause applications.
+    """Decide entailment of `goal` up to `depth` clause applications, with
+    the proof when it is Proved.
+
+    The proof takes, at each node, the first clause instance whose whole
+    body the search proved, re-reading subgoal statuses from its memo.
+    """
+    status = _searcher(program, goal, depth)
+    outcome = status(goal, depth)
+    if outcome is not Status.PROVED:
+        return TreeOutcome(outcome)
+    base = goal.max_var
+
+    def chosen(x: tuple[Atom, int]) -> list:
+        """The first instance of `x` whose whole body is proved."""
+        atom, remaining = x
+        for idx, theta, body in instances(program, atom, max(base, atom.max_var)):
+            if all(status(sub, remaining - 1) is Status.PROVED for sub in body):
+                return [((idx, theta), [(sub, remaining - 1) for sub in body])]
+        raise AssertionError("proof extraction on an unproved goal")
+
+    proof = fold((goal, depth), lambda x: x, chosen, lambda x, ors: and_node(x[0], ors, False))
+    return TreeOutcome(outcome, ProofTree(proof, base))
+
+
+def tm_status(program: Program, goal: Atom, depth: int) -> Status:
+    """`tm_prove(program, goal, depth).status`, without extracting a proof."""
+    return _searcher(program, goal, depth)(goal, depth)
+
+
+def _searcher(program: Program, goal: Atom, depth: int) -> Callable[[Atom, int], Status]:
+    """The memoised status of (subgoal, remaining depth) under `goal`'s search.
 
     Clauses are tried in program order, subgoals left to right. Statuses of
     subgoals are memoised per (atom up to fresh renaming, remaining depth),
@@ -77,16 +107,4 @@ def tm_prove(program: Program, goal: Atom, depth: int) -> TreeOutcome:
                 value = done.value
         return value
 
-    def chosen(x: tuple[Atom, int]) -> list:
-        """The first instance of `x` whose whole body is proved."""
-        atom, remaining = x
-        for idx, theta, body in instances(program, atom, max(base, atom.max_var)):
-            if all(status(sub, remaining - 1) is Status.PROVED for sub in body):
-                return [((idx, theta), [(sub, remaining - 1) for sub in body])]
-        raise AssertionError("proof extraction on an unproved goal")
-
-    outcome = status(goal, depth)
-    if outcome is Status.PROVED:
-        proof = fold((goal, depth), lambda x: x, chosen, lambda x, ors: and_node(x[0], ors, False))
-        return TreeOutcome(outcome, ProofTree(proof, base))
-    return TreeOutcome(outcome)
+    return status

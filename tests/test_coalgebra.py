@@ -2,23 +2,28 @@
 
 from __future__ import annotations
 
+import itertools
 import random
-from functools import partial
+from functools import lru_cache, partial
 
 import pytest
 
 from matchlog import coalgebra
 from matchlog import (
     Approximant,
+    ArityMismatchError,
     ArrowSubstitution,
     Atom,
     Fn,
     PffElement,
+    Substitution,
     Var,
+    apply,
     approximant_matches_tree,
     build_tree,
     coalgebra_program,
     default_check_atoms,
+    enumerate_arrows,
     enumerate_terms,
     ground_coalgebra,
     ground_lfp,
@@ -32,10 +37,11 @@ from matchlog import (
     pp_leq,
     print_atom,
     project_approximant,
+    rebase,
     unfold,
 )
 
-from matchlog.syntax import term_vars
+from matchlog.syntax import atom_vars, term_vars
 
 from helpers import brute_lax_sweep, lfp_entailed, random_fo_program, random_ground_program
 
@@ -332,17 +338,99 @@ def test_lax_sweep_matches_oracle_on_injection_failures(listnat, gc, monkeypatch
         assert report == oracle
 
 
-def test_lax_sweep_checks_one_square_per_class(listnat, monkeypatch):
-    calls = []
-    real_square = coalgebra.lax_square
+def _classes_and_atoms(program, max_arity):
+    """The distinct (atom, restriction) pairs of the default sweep, and the
+    atoms they step: each checked atom and its image under each restriction."""
+    pools = [enumerate_terms(program.signature, n, 2) for n in range(max_arity + 1)]
+    pairs, atoms = set(), set()
+    for atom, m in default_check_atoms(program, max_arity):
+        used = sorted(set(atom_vars(atom)))
+        atoms.add(atom)
+        for pool in pools:
+            if m and not pool:
+                continue
+            for fkey in itertools.product(pool, repeat=len(used)):
+                pairs.add((atom, fkey))
+                atoms.add(apply(Substitution(dict(zip(used, fkey))), atom))
+    return pairs, atoms
 
-    def counted(*args):
-        calls.append(args)
+
+def test_lax_sweep_checks_one_square_per_class(listnat, monkeypatch):
+    squares, steps = [], []
+    real_square, real_step = coalgebra.lax_square, coalgebra.pff_step
+
+    def counted_square(*args):
+        squares.append(args)
         return real_square(*args)
 
-    monkeypatch.setattr(coalgebra, "lax_square", counted)
+    def counted_step(*args):
+        steps.append(args)
+        return real_step(*args)
+
+    monkeypatch.setattr(coalgebra, "lax_square", counted_square)
+    monkeypatch.setattr(coalgebra, "pff_step", counted_step)
     report = lax_sweep(listnat, max_arity=3, term_depth=2)
-    assert (len(calls), report.classes_checked, report.squares_checked) == (2508, 2508, 123516)
+    pairs, atoms = _classes_and_atoms(listnat, 3)
+    assert (report.classes_checked, report.squares_checked) == (2508, 123516)
+    assert len(squares) == len(pairs) == 1332
+    assert len(steps) == len(atoms)
+
+
+def test_lax_sweep_rejects_an_atom_above_its_base(listnat):
+    atom, _ = parse_atom("list(cons(X, Y))")
+    with pytest.raises(ArityMismatchError):
+        lax_sweep(listnat, [(atom, 1)], max_arity=2)
+
+
+def test_lax_verdict_is_the_order(listnat, listnat_plus, gc, bad, ex33):
+    # lax_square decides equality first; every square of the bundled sweeps
+    # at arity 2 must still carry pff_leq's verdict.
+    for program in (listnat, listnat_plus, gc, bad, ex33):
+        step = lru_cache(maxsize=None)(partial(pff_step, program))
+        arrows = list(enumerate_arrows(program.signature, max_arity=2, term_depth=2))
+        checked = 0
+        for atom, m in default_check_atoms(program, 2):
+            for f in arrows:
+                if f.target == m:
+                    sq = lax_square(step, f, atom)
+                    assert sq.lax_ok == pff_leq(sq.lhs, sq.rhs), (str(f), print_atom(atom))
+                    checked += 1
+        assert checked
+
+
+def test_rebase_equals_stepping_at_the_base(listnat, listnat_plus, gc, bad, ex33):
+    rng = random.Random(4242)
+    programs = [listnat, listnat_plus, gc, bad, ex33]
+    programs += [random_fo_program(rng, existential=False) for _ in range(12)]
+    programs += [random_fo_program(rng, existential=True) for _ in range(12)]
+    moved = 0
+    for program in programs:
+        for atom in _classes_and_atoms(program, 3)[1]:
+            e = pff_step(program, atom, atom.max_var)
+            for n in range(atom.max_var, 4):
+                assert rebase(e, n) == pff_step(program, atom, n), (print_atom(atom), n)
+                moved += bool(e.fresh) and n > atom.max_var
+    assert moved
+
+
+def test_rebase_renumbers_across_x9_x10():
+    # Canonical numbering compares printed names: over base 8 the fresh pair
+    # is x9, x10, and "X10" sorts before "X9", so a plain shift of the
+    # canonical element over base 1 is not canonical.
+    def p(i, j):
+        return Atom("p", (Var(i), Var(j)))
+
+    def q(i):
+        return Atom("q", (Var(i),))
+
+    e = PffElement.canonical(1, [{p(2, 3)}, {q(2)}])
+    assert e.body == frozenset({frozenset({p(2, 3)}), frozenset({q(2)})})
+    shifted = frozenset({frozenset({p(9, 10)}), frozenset({q(9)})})
+    moved = rebase(e, 8)
+    assert moved == PffElement.canonical(8, shifted) != PffElement(8, 2, shifted)
+    assert moved.body == frozenset({frozenset({p(10, 9)}), frozenset({q(10)})})
+    assert rebase(moved, 1) == e
+    assert rebase(e, 1) is e
 
 
 def test_enumerate_arrows_and_json_records(gc):

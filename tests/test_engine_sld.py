@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from matchlog import engine_sld
+from matchlog import engine_sld, engine_tm
 from matchlog import (
     Atom,
     Fn,
@@ -19,6 +19,7 @@ from matchlog import (
     parse_goal,
     replay_trace,
     sld_solve,
+    tm_prove,
 )
 
 from helpers import chain_edges, eager_sld, edge_program, random_fo_program
@@ -164,6 +165,26 @@ def test_bridge_never_fails_on_random_programs():
                 program.signature)
             report = check_bridge(program, g, SldLimits(max_steps=12, max_answers=3))
             assert report.violations == ()
+
+
+def test_bridge_runs_the_search_without_proof_extraction(listnat, monkeypatch):
+    # Extracting a proof re-matches every proof node; the bridge reads only
+    # the verdict, so it makes fewer clause-instance steps than tm_prove.
+    calls = [0]
+    real_instances = engine_tm.instances
+
+    def counted(*args):
+        calls[0] += 1
+        return real_instances(*args)
+
+    monkeypatch.setattr(engine_tm, "instances", counted)
+    g, _ = parse_atom("list(X)")
+    report = check_bridge(listnat, g, SldLimits(max_answers=12))
+    bridge_calls, calls[0] = calls[0], 0
+    assert report.entries and all(e.status is Status.PROVED for e in report.entries)
+    for e in report.entries:
+        assert tm_prove(listnat, e.instance, 3 * e.answer.steps).status is e.status
+    assert bridge_calls < calls[0]
 
 
 def test_step_unifies_only_clauses_that_can_fit(monkeypatch):

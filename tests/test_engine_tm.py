@@ -17,6 +17,7 @@ from matchlog import (
     parse_program,
     success_subtree,
     tm_prove,
+    tm_status,
 )
 from matchlog.coalgebra import enumerate_terms, ground_lfp
 
@@ -162,6 +163,28 @@ def test_ground_agreement_with_fixpoint(ex33):
         depth = len(atoms) + 1
         for atom in atoms:
             assert tm_prove(program, atom, depth).is_proved == (atom in entailed)
+
+
+def test_status_is_the_status_of_tm_prove(listnat, listnat_plus, gc, bad, ex33):
+    rng = random.Random(31)
+    cases = []
+    for program in (listnat, listnat_plus, gc, bad, ex33):
+        goals = list(program.signature.generic_atoms) + [c.head for c in program.clauses]
+        for text in ("nat(s(s(0)))", "list(cons(0, nil))", "connected(X, X)"):
+            try:
+                goals.append(parse_atom(text, program.signature)[0])
+            except Exception:
+                continue
+        cases += [(program, g, depth) for g in goals for depth in range(1, 7)]
+    for _ in range(30):
+        program = random_ground_program(rng)
+        atoms = {c.head for c in program.clauses}
+        for c in program.clauses:
+            atoms.update(c.body)
+        cases += [(program, a, depth) for a in atoms for depth in (1, 2, len(atoms) + 1)]
+    assert any(tm_status(*case) is Status.PROVED for case in cases)
+    for case in cases:
+        assert tm_status(*case) is tm_prove(*case).status, case
 
 
 def test_proof_steps_build_no_terms(listnat, monkeypatch):
