@@ -201,7 +201,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         limits = engine_sld.SldLimits(max_steps=args.max_steps,
                                       max_answers=args.max_answers)
         bad = 0
-        records = []
+        records, texts = [], []
         for goal in program.signature.generic_atoms:
             rep = engine_sld.check_bridge(program, goal, limits, tm_depth=args.depth)
             bad += len(rep.violations)
@@ -217,10 +217,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
                     ],
                 })
             else:
-                sys.stdout.write(rep.to_text())
+                texts.append(rep.to_text())
         if as_json:
-            print(json.dumps({"check": "bridge", "goals": records, "ok": bad == 0},
-                             indent=2))
+            texts.append(json.dumps({"check": "bridge", "goals": records, "ok": bad == 0},
+                                    indent=2) + "\n")
+        sys.stdout.write("".join(texts))
         return 0 if bad == 0 else 1
 
     # ground-oracle
@@ -232,7 +233,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     entailed = coalgebra.ground_lfp(program)
     depth = max(1, len(g.atoms) + 1)
     bad = 0
-    records = []
+    records, lines = [], []
     for atom in g.atoms:
         levels_ok = all(
             coalgebra.approximant_matches_tree(g, atom, n)
@@ -247,11 +248,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
                             "lfp_agrees": lfp_ok})
         else:
             tag = "GROUND OK" if levels_ok and lfp_ok else "GROUND FAIL"
-            print(f"{tag}  A={print_atom(atom)}  levels=0..{args.levels} "
-                  f"match={levels_ok}  lfp_agrees={lfp_ok}")
+            lines.append(f"{tag}  A={print_atom(atom)}  levels=0..{args.levels} "
+                         f"match={levels_ok}  lfp_agrees={lfp_ok}")
     if as_json:
-        print(json.dumps({"check": "ground-oracle", "levels": args.levels,
-                          "atoms": records, "ok": bad == 0}, indent=2))
+        lines.append(json.dumps({"check": "ground-oracle", "levels": args.levels,
+                                 "atoms": records, "ok": bad == 0}, indent=2))
+    sys.stdout.write("".join(line + "\n" for line in lines))
     return 0 if bad == 0 else 1
 
 

@@ -4,7 +4,9 @@ Ground side: a variable-free program is the same thing as a map sending each
 atom to the set of its clause bodies (a set of sets of atoms). Unfolding that
 map to a finite level produces nested approximants that carry exactly the
 information of the depth-truncated and-or tree; `approximant_matches_tree`
-checks the two constructions against each other.
+checks the two constructions against each other. Each construction is one
+`cotree.fold`, so levels cost no Python frames, and its approximants are
+hash-consed: equal ones are one object, so the check is settled at the roots.
 
 First-order side: for an atom over a base of n variables, `pff_step` collects
 the matched clause bodies, with body-only clause variables mapped to fresh
@@ -23,11 +25,12 @@ injective renaming.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .cotree import AndNode, build_tree
+from .cotree import AndNode, build_tree, fold
 from .substitution import ArrowSubstitution, arrow_apply, instances, is_var_injection
 from .syntax import (
     ArityMismatchError,
@@ -136,19 +139,20 @@ class Approximant:
     def __post_init__(self) -> None:
         if (self.branches is None) != (self.level == 0):
             raise ValueError("branches must be present exactly when level > 0")
-        if self.branches is not None:
-            for s in self.branches:
-                for x in s:
-                    if x.level != self.level - 1:
-                        raise ValueError("branch levels must be one below the node level")
+        if any(x.level != self.level - 1 for s in self.branches or () for x in s):
+            raise ValueError("branch levels must be one below the node level")
 
-    def __str__(self) -> str:
-        if self.level == 0:
-            return print_atom(self.atom)
-        inner = sorted(
-            "{" + ", ".join(sorted(str(x) for x in s)) + "}" for s in self.branches or ()
-        )
-        return f"({print_atom(self.atom)}, {{{', '.join(inner)}}})"
+
+# The approximants the folds below make, interned (Filliâtre & Conchon,
+# "Type-safe modular hash-consing", 2006); entries die with their values.
+_APPROXIMANTS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _approximant(level: int, atom: Atom, groups: list) -> Approximant:
+    """The interned approximant whose branches hold `groups`' values."""
+    key = (level, atom, frozenset(frozenset(xs) for _, xs in groups) if level else None)
+    x = _APPROXIMANTS.get(key)
+    return x if x is not None else _APPROXIMANTS.setdefault(key, Approximant(*key))
 
 
 def unfold(g: GroundCoalgebra, atom: Atom, level: int) -> Approximant:
@@ -156,35 +160,18 @@ def unfold(g: GroundCoalgebra, atom: Atom, level: int) -> Approximant:
     if level < 0:
         raise ValueError("level must be >= 0")
     g.body_sets(atom)  # raises on unknown atoms
-    memo: dict[tuple[Atom, int], Approximant] = {}
-
-    def go(a: Atom, n: int) -> Approximant:
-        key = (a, n)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if n == 0:
-            out = Approximant(0, a)
-        else:
-            out = Approximant(n, a, frozenset(
-                frozenset(go(b, n - 1) for b in body)
-                for body in g.body_sets(a)
-            ))
-        memo[key] = out
-        return out
-
-    return go(atom, level)
+    return fold((atom, level), lambda x: x,
+                lambda x: [(None, [(b, x[1] - 1) for b in body])
+                           for body in g.body_sets(x[0])] if x[1] else [],
+                lambda x, groups: _approximant(x[1], x[0], groups))
 
 
 def project_approximant(x: Approximant) -> Approximant:
     """Drop the deepest layer, turning a level-(n+1) approximant into level n."""
     if x.level == 0:
         raise ValueError("cannot project a level-0 approximant")
-    if x.level == 1:
-        return Approximant(0, x.atom)
-    return Approximant(x.level - 1, x.atom, frozenset(
-        frozenset(project_approximant(c) for c in s) for s in x.branches or ()
-    ))
+    return fold(x, id, lambda y: [(None, list(s)) for s in y.branches] if y.level > 1 else [],
+                lambda y, groups: _approximant(y.level - 1, y.atom, groups))
 
 
 def encode_tree(node: AndNode, level: int) -> Approximant:
@@ -194,24 +181,10 @@ def encode_tree(node: AndNode, level: int) -> Approximant:
     outer set, each or-node's child list the inner set. Duplicate bodies
     collapse, matching the set-valued structure map.
     """
-    memo: dict[tuple[int, int], Approximant] = {}
-
-    def go(n: AndNode, lvl: int) -> Approximant:
-        key = (id(n), lvl)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if lvl == 0:
-            out = Approximant(0, n.atom)
-        else:
-            out = Approximant(lvl, n.atom, frozenset(
-                frozenset(go(c, lvl - 1) for c in o.children)
-                for o in n.children
-            ))
-        memo[key] = out
-        return out
-
-    return go(node, level)
+    return fold((node, level), lambda x: x,
+                lambda x: [(None, [(c, x[1] - 1) for c in o.children])
+                           for o in x[0].children] if x[1] else [],
+                lambda x, groups: _approximant(x[1], x[0].atom, groups))
 
 
 def approximant_matches_tree(g: GroundCoalgebra, atom: Atom, level: int) -> bool:

@@ -19,7 +19,9 @@ derivation might still satisfy.
 Every walk that builds a value from a tree is one `fold`, post-order on an
 explicit stack, so depth costs no Python frames. `fold` makes each distinct
 item once: `build_tree` shares equal (atom, remaining depth, fresh ceiling)
-subtrees, and walks over a tree keep its sharing.
+subtrees, and walks over a tree keep its sharing. Nodes compare by
+identity; `tree_leq` and `tree_equal_upto_renaming` compare structure,
+visiting each pair of nodes once.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ class Status(enum.IntEnum):
         return self.name.capitalize()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrNode:
     """A clause application: matcher sends the clause head to the parent atom."""
 
@@ -65,7 +67,7 @@ class OrNode:
     children: tuple["AndNode", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AndNode:
     atom: Atom
     children: tuple[OrNode, ...] = ()
@@ -253,9 +255,13 @@ def tree_leq(small: CoTree, big: CoTree) -> bool:
     truncations at the same or-depth over the same base."""
     if small.base != big.base:
         return False
+    seen: set[tuple[int, int]] = set()
     stack = [(small.root, big.root)]
     while stack:
         a, b = stack.pop()
+        if (id(a), id(b)) in seen:
+            continue
+        seen.add((id(a), id(b)))
         if a.atom != b.atom or a.truncated != b.truncated:
             return False
         by_clause = {o.clause_index: o for o in b.children}
@@ -273,14 +279,19 @@ def tree_equal_upto_renaming(a: CoTree, b: CoTree) -> bool:
     Base variables must agree literally; matchers are bookkeeping and are
     not compared. Both trees are visited in lockstep with their fresh
     variables renumbered by first occurrence, so the renamed atoms are equal
-    exactly when such a bijection exists.
+    exactly when such a bijection exists. A pair met again is skipped: the
+    walk is LIFO, so its subtree, and each fresh variable there, is done.
     """
     if a.base != b.base:
         return False
     fresh_a, fresh_b = renumbering(a.base, {}), renumbering(b.base, {})
+    seen: set[tuple[int, int]] = set()
     stack = [(a.root, b.root)]
     while stack:
         x, y = stack.pop()
+        if (id(x), id(y)) in seen:
+            continue
+        seen.add((id(x), id(y)))
         if (x.truncated != y.truncated or len(x.children) != len(y.children)
                 or rename_atom(x.atom, fresh_a) != rename_atom(y.atom, fresh_b)):
             return False
@@ -342,17 +353,30 @@ def _dot_text(root: AndNode) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_obj(root: AndNode, base: int) -> dict:
-    def make(node: AndNode, ors: list) -> dict:
-        obj: dict = {"kind": "and", "atom": print_atom(node.atom), "truncated": node.truncated}
-        if node is root:
-            obj["base"] = base
-        obj["children"] = [{"kind": "or", "clause": i,
-                            "matcher": {var_name(j): print_term(v) for j, v in m.items()},
-                            "children": kids} for (i, m), kids in ors]
-        return obj
-
-    return fold(root, id, _ors, make)
+def _json_text(root: AndNode, base: int) -> str:
+    # `json.dumps(..., indent=2)` of the tree's objects, written pre-order
+    # from an explicit stack of (value, indent) entries and, as (text, None),
+    # ready text. An and-node becomes its object when it is reached.
+    out, stack = [], [(root, "")]
+    while stack:
+        x, pad = stack.pop()
+        if type(x) is AndNode:
+            x = {"kind": "and", "atom": print_atom(x.atom), "truncated": x.truncated,
+                 **({"base": base} if x is root else {}),
+                 "children": [{"kind": "or", "clause": o.clause_index, "matcher": {
+                     var_name(j): print_term(v) for j, v in o.matcher.items()},
+                     "children": o.children} for o in x.children]}
+        if pad is None or type(x) not in (dict, tuple, list) or not x:
+            out.append(x if pad is None else json.dumps(x))
+            continue
+        keys = [f"{json.dumps(k)}: " for k in x] if type(x) is dict else [""] * len(x)
+        values = list(x.values()) if type(x) is dict else x
+        inner = pad + "  "
+        out.append("{" if type(x) is dict else "[")
+        stack.append(("\n" + pad + ("}" if type(x) is dict else "]"), None))
+        for i in reversed(range(len(x))):
+            stack += [(values[i], inner), (("," if i else "") + "\n" + inner + keys[i], None)]
+    return "".join(out)
 
 
 def render(t: CoTree | ProofTree, fmt: str = "ascii") -> str:
@@ -362,12 +386,13 @@ def render(t: CoTree | ProofTree, fmt: str = "ascii") -> str:
     if fmt == "dot":
         return _dot_text(t.root)
     if fmt == "json":
-        return json.dumps(_json_obj(t.root, t.base), indent=2) + "\n"
+        return _json_text(t.root, t.base) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
 
 
 def load_tree_json(text: str, signature: Signature | None = None) -> CoTree:
-    """Rebuild a tree from its JSON rendering."""
+    """Rebuild a tree from its JSON rendering. Library only: no command
+    reads JSON, so this keeps `json.loads`, which recurses on nesting."""
     data = json.loads(text)
 
     def make(obj: dict, ors: list) -> AndNode:

@@ -89,10 +89,10 @@ def sld_solve(program: Program, goals: Sequence[Atom],
 
     answers: list[Answer] = []
     seen: set[Substitution] = set()
-    derived: set[tuple[tuple[int, int], ...]] = set()
 
-    def sweep(budget: int) -> bool:
-        """One depth-first pass with a per-derivation step budget.
+    def sweep(budget: int, floor: int) -> bool:
+        """One depth-first pass with a per-derivation step budget, reading
+        only the derivations longer than `floor` steps.
 
         Returns True when some derivation was cut off by the budget.
         """
@@ -108,10 +108,9 @@ def sld_solve(program: Program, goals: Sequence[Atom],
             if node is not None:
                 resolvent, ceiling, steps, trace = node
                 if not resolvent:
-                    # A trace fixes its answer, so a derivation that an
-                    # earlier sweep has read is not read again.
-                    if trace not in derived:
-                        derived.add(trace)
+                    # An earlier sweep read every derivation within its
+                    # budget, the floor, so those are not read again.
+                    if steps > floor:
                         restricted = _canonical_answer(n0, store.get)
                         if restricted not in seen:
                             seen.add(restricted)
@@ -154,13 +153,13 @@ def sld_solve(program: Program, goals: Sequence[Atom],
                         steps + 1, trace + ((idx, ceiling),))
 
     if limits.strategy == "dfs":
-        cutoff = sweep(limits.max_steps)
+        cutoff = sweep(limits.max_steps, -1)
         exhausted = cutoff and len(answers) < limits.max_answers
     else:
-        budget = 1
+        budget, floor = 1, -1
         exhausted = False
         while True:
-            cutoff = sweep(budget)
+            cutoff = sweep(budget, floor)
             if len(answers) >= limits.max_answers:
                 break
             if not cutoff:
@@ -168,7 +167,7 @@ def sld_solve(program: Program, goals: Sequence[Atom],
             if budget >= limits.max_steps:
                 exhausted = True
                 break
-            budget = min(budget * 2, limits.max_steps)
+            budget, floor = min(budget * 2, limits.max_steps), budget
     return SldResult(tuple(answers), exhausted)
 
 

@@ -9,6 +9,7 @@ loop, and tree shapes against a per-node re-scan of the clause list.
 from __future__ import annotations
 
 import itertools
+import json
 import pathlib
 import random
 from dataclasses import replace
@@ -31,7 +32,15 @@ from matchlog import (
     compose_arrows,
     parse_program,
 )
-from matchlog.syntax import atom_vars, canonical_clause, max_var, print_term, term_vars
+from matchlog.syntax import (
+    atom_vars,
+    canonical_clause,
+    max_var,
+    print_atom,
+    print_term,
+    term_vars,
+    var_name,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +355,41 @@ def eager_sld(program: Program, goals: tuple[Atom, ...], max_steps: int,
         if budget >= max_steps:
             return answers, True
         budget = min(budget * 2, max_steps)
+
+
+def same_tree(a, b) -> bool:
+    """Structural equality of two trees or proofs: base, and at every node
+    pair the atom, truncation flag, clause indices, matchers and child
+    order, compared on an explicit stack."""
+    if a.base != b.base:
+        return False
+    stack = [(a.root, b.root)]
+    while stack:
+        x, y = stack.pop()
+        if (x.atom, x.truncated, len(x.children)) != (y.atom, y.truncated, len(y.children)):
+            return False
+        for ox, oy in zip(x.children, y.children):
+            if (ox.clause_index, ox.matcher, len(ox.children)) \
+                    != (oy.clause_index, oy.matcher, len(oy.children)):
+                return False
+            stack.extend(zip(ox.children, oy.children))
+    return True
+
+
+def json_oracle(t) -> str:
+    """The JSON rendering of a tree or proof, by a recursive walk and
+    `json.dumps`."""
+    def obj(node) -> dict:
+        out: dict = {"kind": "and", "atom": print_atom(node.atom),
+                     "truncated": node.truncated}
+        if node is t.root:
+            out["base"] = t.base
+        out["children"] = [{"kind": "or", "clause": o.clause_index,
+                            "matcher": {var_name(j): print_term(v) for j, v in o.matcher.items()},
+                            "children": [obj(c) for c in o.children]} for o in node.children]
+        return out
+
+    return json.dumps(obj(t.root), indent=2) + "\n"
 
 
 def lfp_entailed(program: Program) -> frozenset[Atom]:

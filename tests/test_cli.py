@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import pathlib
 
+from matchlog import cotree, engine_sld, engine_tm
 from matchlog.cli import main
 
 PROGRAMS = pathlib.Path(__file__).parent / "programs"
@@ -102,6 +103,38 @@ def test_check_ground_oracle(capsys):
     assert code == 65 and "variable-free" in err
 
 
+def test_ground_oracle_250_levels_deep(capsys, tmp_path):
+    # Unfolding and encoding are folds over interned approximants, so the
+    # number of levels costs no frames and the comparison ends at the roots.
+    program = tmp_path / "cycle.lp"
+    program.write_text("p :- q.\nq :- p.\n")
+    code, out, err = run(capsys, "check", program, "--what", "ground-oracle", "--levels", "250")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [f"GROUND OK  A={a}  levels=0..250 match=True  lfp_agrees=True"
+                                for a in "pq"]
+
+
+def test_check_writes_nothing_when_it_fails_midway(capsys, monkeypatch):
+    def failing_call(status, k):
+        calls = []
+
+        def wrapped(*args):
+            calls.append(1)
+            if len(calls) == k:
+                raise ValueError("the prover fails")
+            return status(*args)
+        return wrapped
+
+    # The second atom's verdict fails, after the first atom's line is ready.
+    monkeypatch.setattr(engine_tm, "tm_status", failing_call(engine_tm.tm_status, 2))
+    code, out, err = run(capsys, "check", PROGRAMS / "ex33.lp", "--what", "ground-oracle")
+    assert (code, out, err) == (65, "", "matchlog: the prover fails\n")
+    # list(X1) has five answers; the first answer to nat(X1) fails.
+    monkeypatch.setattr(engine_sld, "tm_status", failing_call(engine_sld.tm_status, 6))
+    code, out, err = run(capsys, "check", PROGRAMS / "listnat.lp", "--what", "bridge")
+    assert (code, out, err) == (65, "", "matchlog: the prover fails\n")
+
+
 def test_check_json_format(capsys):
     code, out, _ = run(capsys, "check", PROGRAMS / "listnat.lp", "--what", "lax",
                        "--format", "json")
@@ -163,12 +196,20 @@ def test_bad_numeric_bounds_are_usage_errors(capsys):
         assert code == 64 and out == "" and "must be at least" in err, argv
 
 
-def test_deep_terms_exit_cleanly(capsys):
+def test_deep_terms_exit_cleanly(capsys, monkeypatch):
     deep = "s(" * 300 + "0" + ")" * 300
-    code, out, err = run(capsys, "prove", PROGRAMS / "listnat.lp", f"nat({deep})",
-                         "--depth", "302", "--format", "json")
-    # The JSON encoder still recurses on the depth of the proof.
-    assert (code, out, err) == (65, "", "matchlog: term nested too deeply to process\n")
+    argv = ("prove", PROGRAMS / "listnat.lp", f"nat({deep})", "--depth", "302",
+            "--format", "json")
+    # The JSON writer keeps its own stack, so this proof renders.
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert (out.splitlines()[0], out.splitlines()[-1]) == ("Proved", "}")
+    assert out.splitlines()[3] == f'  "atom": "nat({deep})",'
+
+    def too_deep(*args):
+        raise RecursionError
+    monkeypatch.setattr(cotree, "render", too_deep)
+    assert run(capsys, *argv) == (65, "", "matchlog: term nested too deeply to process\n")
     # Answers are read through the store by an explicit-stack walk and
     # compared without recursion, so enumeration goes on well past this depth.
     code, out, err = run(capsys, "solve", PROGRAMS / "listnat.lp", "nat(X)",

@@ -31,7 +31,9 @@ from matchlog import (
 )
 from matchlog.syntax import max_var
 
-from helpers import expected_or_children, random_fo_program
+from matchlog import cotree
+
+from helpers import expected_or_children, json_oracle, random_fo_program, same_tree
 
 
 def _goal(text):
@@ -117,6 +119,24 @@ def test_trees_1500_layers_deep_take_no_frames():
     assert (ascii_lines[0], ascii_lines[-1].strip()) == ("r(n1500)", "└─ •[0]")
     dot = render(t, "dot").splitlines()
     assert len(dot) == 2 + 1501 + 3 * 1501 - 1 + 1 and dot[-1] == "}"
+    assert hash(t.root) == hash(t.root) and t.root != mapped.root
+    assert tree_equal_upto_renaming(t, mapped)
+    js = render(t, "json").splitlines()
+    assert (js[0], js[-1]) == ("{", "}")
+    assert [line.strip() for line in js if '"atom"' in line] == [
+        f'"atom": "r(n{k})",' for k in range(1500, -1, -1)]
+
+
+def test_comparisons_visit_each_node_pair_once(listnat_plus, monkeypatch):
+    goal, n = _goal("list(" + "cons(0, " * 16 + "nil" + ")" * 16 + ")")
+    t = build_tree(listnat_plus, goal, n, 18)
+    assert len(_and_nodes(t)) == 33
+    calls = []
+    rename_atom = cotree.rename_atom
+    monkeypatch.setattr(cotree, "rename_atom", lambda *a: calls.append(1) or rename_atom(*a))
+    assert tree_equal_upto_renaming(t, t)
+    assert len(calls) == 2 * 33
+    assert tree_leq(t, t)
 
 
 def test_gc_tree_fresh_variables(gc):
@@ -138,7 +158,7 @@ def test_gc_tree_fresh_variables(gc):
 def test_depth_zero_tree(listnat):
     goal, n = _goal("nat(0)")
     t = build_tree(listnat, goal, n, 0)
-    assert t.root == AndNode(goal, (), True)
+    assert same_tree(t, CoTree(AndNode(goal, (), True), n))
     assert render(t) == "nat(0) …\n"
 
 
@@ -184,7 +204,7 @@ def test_monotone_truncation(listnat_plus, gc, bad):
                 continue
             for d in range(4):
                 deeper = build_tree(p, g, n, d + 1)
-                assert truncate_tree(deeper, d) == build_tree(p, g, n, d)
+                assert same_tree(truncate_tree(deeper, d), build_tree(p, g, n, d))
 
 
 def test_or_children_match_per_node_rescan(listnat_plus, gc):
@@ -238,7 +258,7 @@ def test_map_tree_merges_variables(gc):
         Atom("connected", (Var(3), Var(1))),
     ]
     ident = ArrowSubstitution.identity(2)
-    assert map_tree(ident, t) == t
+    assert same_tree(map_tree(ident, t), t)
 
 
 def test_map_tree_requires_matching_base(gc):
@@ -346,10 +366,10 @@ def test_render_golden_and_json_round_trip(listnat_plus, gc):
     dot = render(t, "dot")
     assert "shape=point" in dot and "shape=box" in dot and "style=dashed" in dot
     js = render(t, "json")
-    assert load_tree_json(js, gc.signature) == t
+    assert same_tree(load_tree_json(js, gc.signature), t)
     g, n = _goal("list(cons(0, nil))")
     t2 = build_tree(listnat_plus, g, n, 3)
-    assert load_tree_json(render(t2, "json"), listnat_plus.signature) == t2
+    assert same_tree(load_tree_json(render(t2, "json"), listnat_plus.signature), t2)
     with pytest.raises(ValueError):
         render(t, "svg")
 
@@ -362,7 +382,20 @@ def test_json_round_trip_random_trees():
         pred, arity = rng.choice(preds)
         goal = Atom(pred, tuple(Var(j) for j in range(1, arity + 1)))
         t = build_tree(program, goal, arity, rng.randint(0, 3))
-        assert load_tree_json(render(t, "json"), program.signature) == t
+        assert same_tree(load_tree_json(render(t, "json"), program.signature), t)
+
+
+def test_json_writer_matches_recursive_encoder():
+    rng = random.Random(53)
+    for i in range(60):
+        program = random_fo_program(rng, existential=bool(i % 2))
+        pred, arity = rng.choice(list(program.signature.predicate_arities.items()))
+        goal = Atom(pred, tuple(Var(j) for j in range(1, arity + 1)))
+        t = build_tree(program, goal, arity, rng.randint(0, 5))
+        assert render(t, "json") == json_oracle(t)
+        proof = success_subtree(t).proof
+        if proof is not None:
+            assert render(proof, "json") == json_oracle(proof)
 
 
 def test_proof_tree_rejects_open_and_branching_nodes(listnat_plus):
@@ -386,7 +419,7 @@ def test_success_subtree_and_prover_pick_same_proof(listnat_plus, gc):
         g, n = parse_atom(text, program.signature)
         via_tree = success_subtree(build_tree(program, g, n, depth)).proof
         via_prover = tm_prove(program, g, depth).proof
-        assert via_tree == via_prover
+        assert same_tree(via_tree, via_prover)
 
 
 def test_truncated_flag_only_at_cut_depth(gc):
