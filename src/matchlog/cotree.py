@@ -376,6 +376,7 @@ def _json_text(root: AndNode, base: int) -> str:
         stack.append(("\n" + pad + ("}" if type(x) is dict else "]"), None))
         for i in reversed(range(len(x))):
             stack += [(values[i], inner), (("," if i else "") + "\n" + inner + keys[i], None)]
+    out.append("\n")  # the final newline, without copying the text to add it
     return "".join(out)
 
 
@@ -386,7 +387,7 @@ def render(t: CoTree | ProofTree, fmt: str = "ascii") -> str:
     if fmt == "dot":
         return _dot_text(t.root)
     if fmt == "json":
-        return _json_text(t.root, t.base) + "\n"
+        return _json_text(t.root, t.base)
     raise ValueError(f"unknown format {fmt!r}")
 
 

@@ -5,8 +5,10 @@ from __future__ import annotations
 import json
 import pathlib
 
-from matchlog import cotree, engine_sld, engine_tm
+from matchlog import coalgebra, cotree, engine_sld, engine_tm
 from matchlog.cli import main
+from matchlog.coalgebra import PffElement
+from matchlog.syntax import term_vars
 
 PROGRAMS = pathlib.Path(__file__).parent / "programs"
 
@@ -99,8 +101,9 @@ def test_check_ground_oracle(capsys):
                        "--levels", "4")
     assert code == 0
     assert out.count("GROUND OK") == 4
-    code, _, err = run(capsys, "check", PROGRAMS / "gc.lp", "--what", "ground-oracle")
-    assert code == 65 and "variable-free" in err
+    assert run(capsys, "check", PROGRAMS / "gc.lp", "--what", "ground-oracle") == (
+        65, "", "matchlog: ground-oracle requires a variable-free program: "
+                "clause 0 contains variables; the program is not ground\n")
 
 
 def test_ground_oracle_250_levels_deep(capsys, tmp_path):
@@ -118,11 +121,11 @@ def test_check_writes_nothing_when_it_fails_midway(capsys, monkeypatch):
     def failing_call(status, k):
         calls = []
 
-        def wrapped(*args):
+        def wrapped(*args, **kwargs):
             calls.append(1)
             if len(calls) == k:
                 raise ValueError("the prover fails")
-            return status(*args)
+            return status(*args, **kwargs)
         return wrapped
 
     # The second atom's verdict fails, after the first atom's line is ready.
@@ -133,6 +136,19 @@ def test_check_writes_nothing_when_it_fails_midway(capsys, monkeypatch):
     monkeypatch.setattr(engine_sld, "tm_status", failing_call(engine_sld.tm_status, 6))
     code, out, err = run(capsys, "check", PROGRAMS / "listnat.lp", "--what", "bridge")
     assert (code, out, err) == (65, "", "matchlog: the prover fails\n")
+    # A step that loses every body of an atom whose first argument mentions
+    # X1 breaks injective squares, so the inj sweep has witnesses too. The
+    # second witness line fails, after the summary and the first witness.
+    real_step, real_line = coalgebra.pff_step, coalgebra.LaxSquare.line
+
+    def lossy_step(program, atom, base):
+        element = real_step(program, atom, base)
+        return PffElement.canonical(base, []) if 1 in term_vars(atom.args[0]) else element
+    monkeypatch.setattr(coalgebra, "pff_step", lossy_step)
+    for what in ("lax", "inj"):
+        monkeypatch.setattr(coalgebra.LaxSquare, "line", failing_call(real_line, 2))
+        code, out, err = run(capsys, "check", PROGRAMS / "gc.lp", "--what", what)
+        assert (code, out, err) == (65, "", "matchlog: the prover fails\n"), what
 
 
 def test_check_json_format(capsys):
@@ -209,7 +225,7 @@ def test_deep_terms_exit_cleanly(capsys, monkeypatch):
     def too_deep(*args):
         raise RecursionError
     monkeypatch.setattr(cotree, "render", too_deep)
-    assert run(capsys, *argv) == (65, "", "matchlog: term nested too deeply to process\n")
+    assert run(capsys, *argv) == (65, "", "matchlog: input nested too deeply to process\n")
     # Answers are read through the store by an explicit-stack walk and
     # compared without recursion, so enumeration goes on well past this depth.
     code, out, err = run(capsys, "solve", PROGRAMS / "listnat.lp", "nat(X)",
