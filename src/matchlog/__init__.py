@@ -40,6 +40,7 @@ from .substitution import (
     mgm,
     mgu,
     rename_apart,
+    unify,
 )
 from .cotree import (
     AndNode,

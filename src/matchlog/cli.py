@@ -204,8 +204,7 @@ def _check_ground(program: Program, args: argparse.Namespace) -> tuple[bool, dic
     depth = len(g.atoms) + 1
     atoms, lines = [], []
     for atom in g.atoms:
-        levels_ok = all(coalgebra.approximant_matches_tree(g, atom, n)
-                        for n in range(args.levels + 1))
+        levels_ok = coalgebra.approximant_matches_tree(g, atom, args.levels)
         proved = engine_tm.tm_status(program, atom, depth) is Status.PROVED
         lfp_ok = proved == (atom in entailed)
         atoms.append({"atom": print_atom(atom), "levels_match": levels_ok,

@@ -188,9 +188,11 @@ def encode_tree(node: AndNode, level: int) -> Approximant:
 
 
 def approximant_matches_tree(g: GroundCoalgebra, atom: Atom, level: int) -> bool:
-    """Does the level-n unfolding carry exactly the depth-n tree's information?"""
-    tree = build_tree(coalgebra_program(g), atom, 0, level)
-    return unfold(g, atom, level) == encode_tree(tree.root, level)
+    """Does the level-n unfolding carry exactly the depth-n tree's information,
+    at every n from 0 to `level`? One depth-`level` tree serves every n, since
+    its level-n encoding reads only its first n layers."""
+    root = build_tree(coalgebra_program(g), atom, 0, level).root
+    return all(unfold(g, atom, n) == encode_tree(root, n) for n in range(level + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +215,12 @@ class PffElement:
     @classmethod
     def canonical(cls, base: int, sets: Iterable[Iterable[Atom]]) -> "PffElement":
         raw = [tuple(s) for s in sets]
+        if all(a.max_var <= base for s in raw for a in s):
+            return cls(base, 0, frozenset(frozenset(s) for s in raw))
         fresh_vars = sorted({
             i for s in raw for a in s for i in atom_vars(a) if i > base
         })
         k = len(fresh_vars)
-        if k == 0:
-            return cls(base, 0, frozenset(frozenset(s) for s in raw))
         best_key = None
         best_body = None
         for perm in itertools.permutations(range(base + 1, base + k + 1)):

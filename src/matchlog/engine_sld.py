@@ -11,14 +11,14 @@ sweep up to `max_steps`.
 A resolvent is never instantiated. Each sweep keeps one binding store (a
 variable index -> term map whose bindings may mention bound variables) and a
 trail of the indices it bound, in the manner of Warren's abstract machine: a
-step unifies the selected atom with the renamed clause head under the store
-(`mgu(..., store)`), adds the unifier to the store and the trail, and puts the
-renamed body in front of the rest of the resolvent as it stands. Read under
-the store, that resolvent is the one an eager step would have built by
-applying the unifier to it. A choice point records the trail's length, and
-trying its next clause first undoes every binding made since. An answer is
-read only on success, in one `rename` walk that reads the query's variables
-through the store and renumbers the variables left free.
+step unifies the selected atom with the renamed clause head in the store
+(`unify(atom, head, store, trail)` binds into both) and puts the renamed body
+in front of the rest of the resolvent as it stands. Read under the store,
+that resolvent is the one an eager step would have built by applying the
+unifier to it. A choice point records the trail's length, and trying its
+next clause first undoes every binding made since. An answer is read only
+on success, in one `rename` walk that reads the query's variables through
+the store and renumbers the variables left free.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 from .cotree import Status
 from .engine_tm import tm_status
-from .substitution import Substitution, apply, compose, mgu, rename_apart
+from .substitution import Substitution, apply, compose, mgu, rename_apart, unify, walk
 from .syntax import Atom, Program, Term, Var, max_var, print_atom, rename, renumbering
 
 
@@ -121,9 +121,7 @@ def sld_solve(program: Program, goals: Sequence[Atom],
                     cutoff = True
                 else:
                     selected = resolvent[0]
-                    first = selected.args[0] if selected.args else None
-                    while type(first) is Var and first.index in store:
-                        first = store[first.index]
+                    first = walk(selected.args[0], store.get) if selected.args else None
                     candidates = program.candidates(selected.pred, first)
                     if candidates:
                         choices.append([resolvent, ceiling, steps, trace,
@@ -143,12 +141,9 @@ def sld_solve(program: Program, goals: Sequence[Atom],
                 idx = candidates[position]
                 clause = clauses[idx]
                 renamed = rename_apart(clause, ceiling)
-                unifier = mgu(resolvent[0], renamed.head, store)
-                if unifier is None:
+                # A failed unify leaves bindings; the undo before the next try clears them.
+                if not unify(resolvent[0], renamed.head, store, trail):
                     continue
-                for i, t in unifier.items():
-                    store[i] = t
-                    trail.append(i)
                 node = (renamed.body + resolvent[1:], ceiling + clause.var_count,
                         steps + 1, trace + ((idx, ceiling),))
 

@@ -1,4 +1,4 @@
-"""Substitutions, unification (mgu), one-way matching (mgm), and tuple arrows.
+"""Substitutions, unification (unify, mgu), one-way matching (mgm), and tuple arrows.
 
 A substitution is a finite map from variable indices to terms; variables
 outside the map are fixed. Application is simultaneous. Unifiers returned by
@@ -6,19 +6,20 @@ outside the map are fixed. Application is simultaneous. Unifiers returned by
 smaller index is kept as the representative, which makes results directly
 comparable in tests.
 
-`mgu` works on a binding store whose bindings may mention bound variables,
-and reads its result through that store with `syntax.rename`, the one
-variable-mapping walker, which also serves application, renaming apart and
-arrows. `mgm(pattern, target)` is strictly one-way: only pattern variables
-may be bound, target variables are inert. A tuple arrow n->m carries m terms
-over variables x1..xn and acts on atoms by substitution, sending an atom
-over at most m variables to one over at most n.
+`unify` is the only code that records a unification binding: it binds into
+a caller's store, whose bindings may mention bound variables, and trail, so
+SLD undoes it by popping the trail. `mgu` is `unify` on an empty store, read
+out with `syntax.rename`, the one variable-mapping walker, which also serves
+application, renaming apart and arrows. `mgm(pattern, target)` is strictly
+one-way: only pattern variables may be bound, target variables are inert. A
+tuple arrow n->m carries m terms over variables x1..xn and acts on atoms by
+substitution, sending an atom over at most m variables to one over at most n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence, Union, overload
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union, overload
 
 from .syntax import (
     ArityMismatchError,
@@ -122,73 +123,73 @@ def compose(s1: Substitution, s2: Substitution) -> Substitution:
 # Unification and matching
 # ---------------------------------------------------------------------------
 
-# The empty binding store: `mgu`'s default, never written to.
-_UNBOUND: dict[int, Term] = {}
+def unify(a: Atom, b: Atom, store: dict[int, Term], trail: list[int]) -> bool:
+    """Unify two atoms in `store`, binding by binding (Martelli & Montanari,
+    TOPLAS 1982, with the occurs check); True when they unify.
 
-
-def mgu(a: Atom, b: Atom, store: Mapping[int, Term] = _UNBOUND) -> Substitution | None:
-    """Most general unifier of two atoms, or None. The occurs check is on.
-
-    The result is idempotent; when two variables are unified the smaller
-    index becomes the representative. A variable bound in `store` (a binding
-    store whose bindings may mention variables bound there too) stands for
-    its binding, so the result is the unifier of the two atoms resolved under
-    `store`, without building them: it binds only variables `store` leaves
-    free, and adding it to `store` unifies the two atoms there.
+    Each new binding goes into `store` and its index onto `trail`; on failure
+    the bindings made so far stay, and popping the trail undoes them. Of two
+    unified variables the larger index is bound to the smaller.
     """
     if a.pred != b.pred or len(a.args) != len(b.args):
-        return None
-    bind: dict[int, Term] = {}
-    outer = store.get
-
-    def binding(i: int) -> Term | None:
-        t = bind.get(i)
-        return outer(i) if t is None else t
-
-    def walk(t: Term) -> Term:
-        while type(t) is Var:
-            u = binding(t.index)
-            if u is None:
-                break
-            t = u
-        return t
-
-    def occurs(i: int, t: Term) -> bool:
-        stack = [t]
-        while stack:
-            t = walk(stack.pop())
-            if type(t) is Var:
-                if t.index == i:
-                    return True
-            elif t.max_var:
-                stack.extend(t.args)
         return False
-
+    binding = store.get
     stack = list(zip(a.args, b.args))
     while stack:
         x, y = stack.pop()
-        x = walk(x)
-        y = walk(y)
-        if type(x) is Var:
-            if type(y) is Var:
-                if x.index < y.index:
-                    bind[y.index] = x
-                elif y.index < x.index:
-                    bind[x.index] = y
-            elif occurs(x.index, y):
-                return None
-            else:
-                bind[x.index] = y
-        elif type(y) is Var:
-            if occurs(y.index, x):
-                return None
-            bind[y.index] = x
-        else:
-            if x.name != y.name or len(x.args) != len(y.args):
-                return None
-            stack.extend(zip(x.args, y.args))
+        x, y = walk(x, binding), walk(y, binding)
+        if type(x) is not Var:
+            if type(y) is not Var:
+                if x.name != y.name or len(x.args) != len(y.args):
+                    return False
+                stack.extend(zip(x.args, y.args))
+                continue
+            x, y = y, x
+        # x is a free variable: bind it, or the larger of two variables.
+        if type(y) is Var:
+            if x.index == y.index:
+                continue
+            if x.index < y.index:
+                x, y = y, x
+        elif _occurs(x.index, y, binding):
+            return False
+        store[x.index] = y
+        trail.append(x.index)
+    return True
 
-    return Substitution({i: rename(t, bound=binding) for i, t in bind.items()})
+
+def walk(t: Term, binding: Callable[[int], Term | None]) -> Term:
+    """What `t` stands for under `binding`: a free variable or a non-variable
+    term, whose own variables are not read."""
+    while type(t) is Var:
+        u = binding(t.index)
+        if u is None:
+            break
+        t = u
+    return t
+
+
+def _occurs(i: int, t: Term, binding: Callable[[int], Term | None]) -> bool:
+    """Does x_i occur in `t` read through `binding`?"""
+    stack = [t]
+    while stack:
+        t = walk(stack.pop(), binding)
+        if type(t) is Var:
+            if t.index == i:
+                return True
+        elif t.max_var:
+            stack.extend(t.args)
+    return False
+
+
+def mgu(a: Atom, b: Atom) -> Substitution | None:
+    """Most general unifier of two atoms, or None: `unify` on an empty store,
+    read out. It is idempotent, and of two unified variables the smaller
+    index is the representative."""
+    store: dict[int, Term] = {}
+    if not unify(a, b, store, []):
+        return None
+    return Substitution({i: rename(t, bound=store.get) for i, t in store.items()})
 
 
 def mgm(pattern: Atom, target: Atom) -> Substitution | None:

@@ -106,15 +106,20 @@ def test_check_ground_oracle(capsys):
                 "clause 0 contains variables; the program is not ground\n")
 
 
-def test_ground_oracle_250_levels_deep(capsys, tmp_path):
+def test_ground_oracle_250_levels_deep(capsys, tmp_path, monkeypatch):
     # Unfolding and encoding are folds over interned approximants, so the
     # number of levels costs no frames and the comparison ends at the roots.
+    # Each atom's levels are read off one tree.
+    real_build, builds = coalgebra.build_tree, []
+    monkeypatch.setattr(coalgebra, "build_tree",
+                        lambda *args: builds.append(args[3]) or real_build(*args))
     program = tmp_path / "cycle.lp"
     program.write_text("p :- q.\nq :- p.\n")
     code, out, err = run(capsys, "check", program, "--what", "ground-oracle", "--levels", "250")
     assert (code, err) == (0, "")
     assert out.splitlines() == [f"GROUND OK  A={a}  levels=0..250 match=True  lfp_agrees=True"
                                 for a in "pq"]
+    assert builds == [250, 250]
 
 
 def test_check_writes_nothing_when_it_fails_midway(capsys, monkeypatch):

@@ -126,6 +126,23 @@ def test_approximant_matches_tree_examples(ex33):
         assert approximant_matches_tree(g, atom, 2)
 
 
+def test_approximant_matches_tree_checks_every_level_on_one_tree(ex33, monkeypatch):
+    g = ground_coalgebra(ex33)
+    real_build, real_encode = coalgebra.build_tree, coalgebra.encode_tree
+    builds = []
+    monkeypatch.setattr(coalgebra, "build_tree",
+                        lambda *args: builds.append(args[3]) or real_build(*args))
+    for atom in g.atoms:
+        assert approximant_matches_tree(g, atom, 3)
+    assert builds == [3] * len(g.atoms)
+    # An encoding wrong at level 1 alone passes at level 0 and fails up to level 3.
+    monkeypatch.setattr(coalgebra, "encode_tree",
+                        lambda node, n: real_encode(node, 0 if n == 1 else n))
+    for atom in g.atoms:
+        assert approximant_matches_tree(g, atom, 0)
+        assert not approximant_matches_tree(g, atom, 3)
+
+
 def test_pff_step_examples(listnat, gc):
     natx, _ = parse_atom("nat(X)")
     assert pff_step(listnat, natx, 1) == PffElement(1, 0, frozenset())

@@ -190,17 +190,18 @@ def test_bridge_runs_the_search_without_proof_extraction(listnat, monkeypatch):
 def test_step_unifies_only_clauses_that_can_fit(monkeypatch):
     program = edge_program(chain_edges(200))
     outcomes = {True: 0, False: 0}
-    real_mgu = engine_sld.mgu
+    real_unify = engine_sld.unify
 
-    def counting_mgu(*args):
-        unifier = real_mgu(*args)
-        outcomes[unifier is not None] += 1
-        return unifier
+    def counting_unify(*args):
+        ok = real_unify(*args)
+        outcomes[ok] += 1
+        return ok
 
-    monkeypatch.setattr(engine_sld, "mgu", counting_mgu)
+    monkeypatch.setattr(engine_sld, "unify", counting_unify)
     g, _ = parse_atom("connected(n0, Y)", program.signature)
     result = sld_solve(program, [g], SldLimits(max_answers=201, strategy="dfs"))
     assert len(result.answers) == 201
+    assert outcomes[True] >= 201
     assert outcomes[False] <= outcomes[True]
 
 
@@ -208,19 +209,19 @@ def test_sld_steps_apply_no_substitution(monkeypatch, listnat, gc):
     # Steps bind variables in a store instead of instantiating the resolvent,
     # so solving makes no `apply` call at all.
     counts = {"apply": 0, "unified": 0}
-    real_apply, real_mgu = engine_sld.apply, engine_sld.mgu
+    real_apply, real_unify = engine_sld.apply, engine_sld.unify
 
     def counting_apply(s, x):
         counts["apply"] += 1
         return real_apply(s, x)
 
-    def counting_mgu(*args):
-        unifier = real_mgu(*args)
-        counts["unified"] += unifier is not None
-        return unifier
+    def counting_unify(*args):
+        ok = real_unify(*args)
+        counts["unified"] += ok
+        return ok
 
     monkeypatch.setattr(engine_sld, "apply", counting_apply)
-    monkeypatch.setattr(engine_sld, "mgu", counting_mgu)
+    monkeypatch.setattr(engine_sld, "unify", counting_unify)
     for program, text, limits in [
         (listnat, "list(X)", SldLimits(max_answers=20)),
         (listnat, "nat(X), list(cons(X, Y))", SldLimits(max_answers=10, strategy="dfs")),

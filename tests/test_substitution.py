@@ -20,6 +20,7 @@ from matchlog import (
     mgu,
     parse_atom,
     rename_apart,
+    unify,
 )
 from matchlog.syntax import rename
 
@@ -123,18 +124,30 @@ def _resolved_by_fixpoint(store, x):
         x = y
 
 
-def test_mgu_under_a_store_is_mgu_of_the_resolved_atoms():
+def test_unify_binds_the_mgu_of_the_resolved_atoms_into_the_store():
     rng = random.Random(23)
+    unified = 0
     for _ in range(400):
         store = random_store(rng, 6)
         before = dict(store)
         a = random_atom(rng, 6)
         b = random_atom(rng, 6, preds=((a.pred, len(a.args)),))
         ra, rb = _resolved_by_fixpoint(store, a), _resolved_by_fixpoint(store, b)
-        assert mgu(a, b, store) == mgu(ra, rb)
-        assert store == before
         for t in a.args:
             assert rename(t, bound=store.get) == _resolved_by_fixpoint(store, t)
+        expected = mgu(ra, rb)
+        trail = [0]  # an earlier entry, which unify must leave alone
+        ok = unify(a, b, store, trail)
+        assert ok == (expected is not None)
+        assert trail[0] == 0
+        if ok:
+            unified += 1
+            new = Substitution({i: rename(store[i], bound=store.get) for i in trail[1:]})
+            assert new == expected
+        while len(trail) > 1:
+            del store[trail.pop()]
+        assert store == before
+    assert 0 < unified < 400
 
 
 def test_reading_through_a_store_and_occurs_check_do_not_recurse_on_depth():
@@ -150,6 +163,13 @@ def test_reading_through_a_store_and_occurs_check_do_not_recurse_on_depth():
         deep = Fn("s", (deep,))
     assert mgu(Atom("p", (Var(1),)), Atom("p", (deep,))) is None
     assert mgu(Atom("p", (Var(2),)), Atom("p", (deep,))) == Substitution({2: deep})
+    # The same occurs check, with the depth in the store instead of the term.
+    del chain[depth]
+    trail = []
+    assert not unify(Atom("p", (Var(depth),)), Atom("p", (Var(1),)), chain, trail)
+    assert trail == []
+    assert unify(Atom("p", (Var(depth + 1),)), Atom("p", (Var(1),)), chain, trail)
+    assert trail == [depth + 1] and chain[depth + 1] == Fn("s", (Var(2),))
 
 
 def test_double_renaming_is_summed_offset(gc):
