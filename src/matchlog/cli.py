@@ -131,9 +131,8 @@ def _format_answer(bindings: Substitution, names: Sequence[str]) -> str:
 def _cmd_prove(program: Program, args: argparse.Namespace) -> tuple[int, list[str]]:
     goal = syntax.parse_goal(args.goal, program.signature)
     result = engine_tm.tm_prove(program, goal.atom, args.depth)
-    proof = "" if result.proof is None else cotree.render(result.proof, args.format)
-    # Two chunks, so a long proof is not copied to put the status before it.
-    return _STATUS_EXIT[result.status], [f"{result.status}\n", proof]
+    proof = [] if result.proof is None else cotree.render_chunks(result.proof, args.format)
+    return _STATUS_EXIT[result.status], [f"{result.status}\n", *proof]
 
 
 def _cmd_solve(program: Program, args: argparse.Namespace) -> tuple[int, list[str]]:
@@ -151,7 +150,7 @@ def _cmd_solve(program: Program, args: argparse.Namespace) -> tuple[int, list[st
 def _cmd_tree(program: Program, args: argparse.Namespace) -> tuple[int, list[str]]:
     goal = syntax.parse_goal(args.goal, program.signature)
     t = cotree.build_tree(program, goal.atom, goal.var_count, args.depth)
-    return 0, [cotree.render(t, args.format)]
+    return 0, cotree.render_chunks(t, args.format)
 
 
 def _check_lax(program: Program, args: argparse.Namespace) -> tuple[bool, dict, list[str]]:

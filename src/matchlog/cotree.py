@@ -353,10 +353,10 @@ def _dot_text(root: AndNode) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_text(root: AndNode, base: int) -> str:
-    # `json.dumps(..., indent=2)` of the tree's objects, written pre-order
-    # from an explicit stack of (value, indent) entries and, as (text, None),
-    # ready text. An and-node becomes its object when it is reached.
+def _json_pieces(root: AndNode, base: int) -> list[str]:
+    # The pieces of `json.dumps(..., indent=2)` of the tree's objects, written
+    # pre-order from an explicit stack of (value, indent) entries and, as
+    # (text, None), ready text. An and-node becomes its object when reached.
     out, stack = [], [(root, "")]
     while stack:
         x, pad = stack.pop()
@@ -376,8 +376,8 @@ def _json_text(root: AndNode, base: int) -> str:
         stack.append(("\n" + pad + ("}" if type(x) is dict else "]"), None))
         for i in reversed(range(len(x))):
             stack += [(values[i], inner), (("," if i else "") + "\n" + inner + keys[i], None)]
-    out.append("\n")  # the final newline, without copying the text to add it
-    return "".join(out)
+    out.append("\n")
+    return out
 
 
 def render(t: CoTree | ProofTree, fmt: str = "ascii") -> str:
@@ -387,8 +387,17 @@ def render(t: CoTree | ProofTree, fmt: str = "ascii") -> str:
     if fmt == "dot":
         return _dot_text(t.root)
     if fmt == "json":
-        return _json_text(t.root, t.base)
+        return "".join(_json_pieces(t.root, t.base))
     raise ValueError(f"unknown format {fmt!r}")
+
+
+def render_chunks(t: CoTree | ProofTree, fmt: str) -> list[str]:
+    """`render(t, fmt)` as a list of pieces whose join it is: JSON as its
+    writer's own pieces, so a caller that writes them in turn never builds
+    the whole text or its encoding; any other format as one piece."""
+    if fmt == "json":
+        return _json_pieces(t.root, t.base)
+    return [render(t, fmt)]
 
 
 def load_tree_json(text: str, signature: Signature | None = None) -> CoTree:

@@ -1,24 +1,30 @@
 """SLD resolution with unification: enumerates computed answer substitutions.
 
 Selection is always the leftmost atom; its candidate clauses
-(`Program.candidates`) are tried in program order after being renamed apart
-from everything used so far. Answers are restricted to the query's own
-variables, canonically renamed, and deduplicated. Search is depth-first or
-iterative deepening (the default, so that looping programs still surface the
-answers a bounded search can reach); deepening doubles the step bound each
-sweep up to `max_steps`.
+(`Program.candidates`) are tried in program order, each with its variables
+placed above everything used so far. Answers are restricted to the query's
+own variables, canonically renamed, and deduplicated. Search is depth-first
+or iterative deepening (the default, so that looping programs still surface
+the answers a bounded search can reach); deepening doubles the step bound
+each sweep up to `max_steps`.
 
-A resolvent is never instantiated. Each sweep keeps one binding store (a
-variable index -> term map whose bindings may mention bound variables) and a
-trail of the indices it bound, in the manner of Warren's abstract machine: a
-step unifies the selected atom with the renamed clause head in the store
-(`unify(atom, head, store, trail)` binds into both) and puts the renamed body
-in front of the rest of the resolvent as it stands. Read under the store,
-that resolvent is the one an eager step would have built by applying the
-unifier to it. A choice point records the trail's length, and trying its
-next clause first undoes every binding made since. An answer is read only
-on success, in one `rename` walk that reads the query's variables through
-the store and renumbers the variables left free.
+No clause is renamed and no resolvent is instantiated or copied, in the
+manner of Warren's abstract machine and of Boyer & Moore's structure
+sharing. A step uses a clause as it is, at a variable offset (the
+`ceiling`): its variable x_j stands for key j + ceiling of one binding
+store per sweep, whose values are (term, offset) molecules and whose
+bindings may mention bound keys. `unify(atom, offset, head, ceiling, store,
+trail)` binds into the store and records each key on a trail. The resolvent
+is a linked frame (atoms, position, offset, rest): a step pushes the
+clause's body at its offset in front of the rest, which it shares. Read
+under the store, that resolvent is the one an eager step would have built by
+renaming the clause apart and applying the unifier. The trace is a chain of
+(clause index, offset, parent) links, shared by every derivation that
+extends it. A choice point records the trail's length, and trying its next
+clause first undoes every binding made since. An answer is read only on
+success, in one `rename` walk that reads the query's variables through the
+store and renumbers the variables left free, and its trace is read out of
+the chain then.
 """
 
 from __future__ import annotations
@@ -54,8 +60,9 @@ class SldLimits:
 class Answer:
     """A computed substitution restricted to the query variables.
 
-    `trace` records (clause index, renaming offset) per resolution step, so
-    the derivation can be replayed and checked.
+    `trace` records (clause index, variable offset) per resolution step, so
+    the derivation can be replayed and checked: the step's clause variable
+    x_j is x_(j + offset) of the derivation.
     """
 
     bindings: Substitution
@@ -69,12 +76,23 @@ class SldResult:
     exhausted: bool  # True when the step bound cut off unexplored derivations
 
 
-def _canonical_answer(n0: int, bound: Callable[[int], Term | None]) -> Substitution:
+def _canonical_answer(n0: int,
+                      bound: Callable[[int], tuple[Term, int] | None]) -> Substitution:
     """The answer sending each query variable x_1..x_n0 to its binding read
     through `bound`, with residual free variables renumbered by first
     occurrence above the query's, in the same walk."""
     var_fn = renumbering(n0, {})
     return Substitution({i: rename(Var(i), var_fn, bound) for i in range(1, n0 + 1)})
+
+
+def _read_trace(trace: tuple | None) -> tuple[tuple[int, int], ...]:
+    """The (clause index, offset) steps of a trace chain, first step first."""
+    steps = []
+    while trace is not None:
+        idx, offset, trace = trace
+        steps.append((idx, offset))
+    steps.reverse()
+    return tuple(steps)
 
 
 def sld_solve(program: Program, goals: Sequence[Atom],
@@ -97,55 +115,63 @@ def sld_solve(program: Program, goals: Sequence[Atom],
         Returns True when some derivation was cut off by the budget.
         """
         cutoff = False
-        store: dict[int, Term] = {}
+        store: dict[int, tuple[Term, int]] = {}
         trail: list[int] = []
-        # A choice point is [resolvent, ceiling, steps, trace, candidates,
-        # next position, trail mark]; it leaves the stack when its last
-        # candidate is tried.
+        # A resolvent is a frame (atoms, position, offset, rest), standing
+        # for atoms[position:] at `offset` followed by the resolvent `rest`,
+        # or None when empty; a trace is a link (clause index, offset,
+        # parent), or None before the first step. A choice point is
+        # [selected atom, its offset, the resolvent after it, ceiling, steps,
+        # trace, candidates, next position, trail mark]; it leaves the stack
+        # when its last candidate is tried.
         choices: list[list] = []
-        node: tuple | None = (goals, n0, 0, ())
+        node: tuple | None = ((goals, 0, 0, None) if goals else None, n0, 0, None)
         while True:
             if node is not None:
                 resolvent, ceiling, steps, trace = node
-                if not resolvent:
+                if resolvent is None:
                     # An earlier sweep read every derivation within its
                     # budget, the floor, so those are not read again.
                     if steps > floor:
                         restricted = _canonical_answer(n0, store.get)
                         if restricted not in seen:
                             seen.add(restricted)
-                            answers.append(Answer(restricted, steps, trace))
+                            answers.append(Answer(restricted, steps, _read_trace(trace)))
                             if len(answers) >= limits.max_answers:
                                 return cutoff
                 elif steps >= budget:
                     cutoff = True
                 else:
-                    selected = resolvent[0]
-                    first = walk(selected.args[0], store.get) if selected.args else None
+                    atoms, position, offset, rest = resolvent
+                    selected = atoms[position]
+                    if position + 1 < len(atoms):
+                        rest = (atoms, position + 1, offset, rest)
+                    first = (walk(selected.args[0], offset, store.get)[0]
+                             if selected.args else None)
                     candidates = program.candidates(selected.pred, first)
                     if candidates:
-                        choices.append([resolvent, ceiling, steps, trace,
+                        choices.append([selected, offset, rest, ceiling, steps, trace,
                                         candidates, 0, len(trail)])
             node = None
             while node is None:
                 if not choices:
                     return cutoff
                 frame = choices[-1]
-                resolvent, ceiling, steps, trace, candidates, position, mark = frame
+                selected, offset, rest, ceiling, steps, trace, candidates, position, mark = frame
                 while len(trail) > mark:
                     del store[trail.pop()]
                 if position + 1 == len(candidates):
                     choices.pop()
                 else:
-                    frame[5] = position + 1
+                    frame[7] = position + 1
                 idx = candidates[position]
                 clause = clauses[idx]
-                renamed = rename_apart(clause, ceiling)
                 # A failed unify leaves bindings; the undo before the next try clears them.
-                if not unify(resolvent[0], renamed.head, store, trail):
+                if not unify(selected, offset, clause.head, ceiling, store, trail):
                     continue
-                node = (renamed.body + resolvent[1:], ceiling + clause.var_count,
-                        steps + 1, trace + ((idx, ceiling),))
+                if clause.body:
+                    rest = (clause.body, 0, ceiling, rest)
+                node = (rest, ceiling + clause.var_count, steps + 1, (idx, ceiling, trace))
 
     if limits.strategy == "dfs":
         cutoff = sweep(limits.max_steps, -1)
@@ -187,7 +213,8 @@ def replay_trace(program: Program, goals: Sequence[Atom], answer: Answer) -> Sub
         raise ValueError("trace ends on a non-empty goal")
     # Composed from idempotent unifiers over renamed-apart clauses, `sigma` is
     # idempotent, so reading through it applies it once.
-    return _canonical_answer(max_var(tuple(goals)), dict(sigma.items()).get)
+    return _canonical_answer(max_var(tuple(goals)),
+                             {i: (t, 0) for i, t in sigma.items()}.get)
 
 
 # ---------------------------------------------------------------------------

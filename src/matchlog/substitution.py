@@ -6,10 +6,12 @@ outside the map are fixed. Application is simultaneous. Unifiers returned by
 smaller index is kept as the representative, which makes results directly
 comparable in tests.
 
-`unify` is the only code that records a unification binding: it binds into
-a caller's store, whose bindings may mention bound variables, and trail, so
-SLD undoes it by popping the trail. `mgu` is `unify` on an empty store, read
-out with `syntax.rename`, the one variable-mapping walker, which also serves
+`unify` is the only code that records a unification binding: it unifies
+two atoms each at a variable offset, binding into a caller's store of
+(term, offset) molecules, whose bindings may mention bound variables, and
+trail, so SLD undoes it by popping the trail and never renames a clause.
+`mgu` is `unify` at offset 0 on an empty store, read out with
+`syntax.rename`, the one variable-mapping walker, which also serves
 application, renaming apart and arrows. `mgm(pattern, target)` is strictly
 one-way: only pattern variables may be bound, target variables are inert. A
 tuple arrow n->m carries m terms over variables x1..xn and acts on atoms by
@@ -123,73 +125,86 @@ def compose(s1: Substitution, s2: Substitution) -> Substitution:
 # Unification and matching
 # ---------------------------------------------------------------------------
 
-def unify(a: Atom, b: Atom, store: dict[int, Term], trail: list[int]) -> bool:
-    """Unify two atoms in `store`, binding by binding (Martelli & Montanari,
-    TOPLAS 1982, with the occurs check); True when they unify.
+def unify(a: Atom, a_off: int, b: Atom, b_off: int,
+          store: dict[int, tuple[Term, int]], trail: list[int]) -> bool:
+    """Unify atom `a` at variable offset `a_off` with `b` at `b_off` in
+    `store` (Martelli & Montanari, TOPLAS 1982, with the occurs check);
+    True when they unify.
 
-    Each new binding goes into `store` and its index onto `trail`; on failure
-    the bindings made so far stay, and popping the trail undoes them. Of two
-    unified variables the larger index is bound to the smaller.
+    A term at offset o is a molecule (Boyer & Moore, 1972): its variable x_j
+    stands for store key j + o, so a clause is shared by every step that uses
+    it and never renamed. The store maps a bound key to the molecule it
+    stands for. Each new binding goes into `store` and its key onto `trail`;
+    on failure the bindings made so far stay, and popping the trail undoes
+    them. Of two unified variables the larger key is bound to the smaller.
     """
     if a.pred != b.pred or len(a.args) != len(b.args):
         return False
     binding = store.get
-    stack = list(zip(a.args, b.args))
+    stack = [(x, a_off, y, b_off) for x, y in zip(a.args, b.args)]
     while stack:
-        x, y = stack.pop()
-        x, y = walk(x, binding), walk(y, binding)
+        x, xo, y, yo = stack.pop()
+        x, xo = walk(x, xo, binding)
+        y, yo = walk(y, yo, binding)
         if type(x) is not Var:
             if type(y) is not Var:
                 if x.name != y.name or len(x.args) != len(y.args):
                     return False
-                stack.extend(zip(x.args, y.args))
+                stack.extend([(u, xo, v, yo) for u, v in zip(x.args, y.args)])
                 continue
-            x, y = y, x
+            x, xo, y, yo = y, yo, x, xo
         # x is a free variable: bind it, or the larger of two variables.
+        key = x.index + xo
         if type(y) is Var:
-            if x.index == y.index:
+            other = y.index + yo
+            if key == other:
                 continue
-            if x.index < y.index:
-                x, y = y, x
-        elif _occurs(x.index, y, binding):
+            if key < other:
+                key, y, yo = other, x, xo
+        elif y.max_var and _occurs(key, y, yo, binding):
             return False
-        store[x.index] = y
-        trail.append(x.index)
+        store[key] = (y, yo)
+        trail.append(key)
     return True
 
 
-def walk(t: Term, binding: Callable[[int], Term | None]) -> Term:
-    """What `t` stands for under `binding`: a free variable or a non-variable
-    term, whose own variables are not read."""
+def walk(t: Term, off: int,
+         binding: Callable[[int], tuple[Term, int] | None]) -> tuple[Term, int]:
+    """What the molecule (`t`, `off`) stands for under `binding`: a free
+    variable or a non-variable term, with its offset; the term's own
+    variables are not read."""
     while type(t) is Var:
-        u = binding(t.index)
-        if u is None:
+        m = binding(t.index + off)
+        if m is None:
             break
-        t = u
-    return t
+        t, off = m
+    return t, off
 
 
-def _occurs(i: int, t: Term, binding: Callable[[int], Term | None]) -> bool:
-    """Does x_i occur in `t` read through `binding`?"""
-    stack = [t]
+def _occurs(key: int, t: Term, off: int,
+            binding: Callable[[int], tuple[Term, int] | None]) -> bool:
+    """Does store key `key` occur in the molecule (`t`, `off`) read through
+    `binding`?"""
+    stack = [(t, off)]
     while stack:
-        t = walk(stack.pop(), binding)
+        t, off = stack.pop()
+        t, off = walk(t, off, binding)
         if type(t) is Var:
-            if t.index == i:
+            if t.index + off == key:
                 return True
         elif t.max_var:
-            stack.extend(t.args)
+            stack.extend([(u, off) for u in t.args])
     return False
 
 
 def mgu(a: Atom, b: Atom) -> Substitution | None:
-    """Most general unifier of two atoms, or None: `unify` on an empty store,
-    read out. It is idempotent, and of two unified variables the smaller
-    index is the representative."""
-    store: dict[int, Term] = {}
-    if not unify(a, b, store, []):
+    """Most general unifier of two atoms, or None: `unify` at offset 0 on an
+    empty store, read out. It is idempotent, and of two unified variables the
+    smaller index is the representative."""
+    store: dict[int, tuple[Term, int]] = {}
+    if not unify(a, 0, b, 0, store, []):
         return None
-    return Substitution({i: rename(t, bound=store.get) for i, t in store.items()})
+    return Substitution({i: rename(Var(i), bound=store.get) for i in store})
 
 
 def mgm(pattern: Atom, target: Atom) -> Substitution | None:
@@ -220,7 +235,8 @@ def mgm(pattern: Atom, target: Atom) -> Substitution | None:
 
 def rename_apart(c: Clause, avoid: int) -> Clause:
     """Shift every variable in the clause above `avoid`; a ground clause is
-    returned as it is."""
+    returned as it is. SLD never renames: `replay_trace` uses this as the
+    eager step it checks a derivation with."""
     if avoid == 0 or not c.var_count:
         return c
 

@@ -178,43 +178,54 @@ def _same_args(xs: tuple[Term, ...], ys: tuple[Term, ...]) -> bool:
 
 
 def rename(t: Term | Atom, var_fn: Callable[[Var], Term] | None = None,
-           bound: Callable[[int], Term | None] | None = None) -> Term | Atom:
-    """Rebuild the term or atom `t` through a map on its variables. A
-    variable x_i that `bound(i)` sends to a term is replaced by that term,
-    which is walked in turn: an acyclic binding store whose bindings mention
-    bound variables is read through to its fixpoint. Every other variable v
-    becomes var_fn(v), or stays as it is without `var_fn`; that image is not
-    walked again. Variables are met left to right.
+           bound: Callable[[int], tuple[Term, int] | None] | None = None) -> Term | Atom:
+    """Rebuild the term or atom `t` through a map on its variables.
+
+    `bound` reads a binding store of molecules (Boyer & Moore, 1972): a
+    term at offset o has its variable x_j standing for store key j + o, and
+    `t` itself is at offset 0. A variable whose key k has `bound(k)` equal
+    to a molecule (u, o') is replaced by u read at offset o', which is
+    walked in turn: an acyclic store whose bindings mention bound keys is
+    read through to its fixpoint. Every other variable becomes x_k for its
+    key k, and then var_fn(x_k), or stays x_k without `var_fn`; that image
+    is not walked again. Variables are met left to right.
 
     A ground subterm, and a node whose rebuilt arguments are all the ones it
-    had, are returned as they are. The walk keeps its own stack, so it does
-    not recurse on term depth."""
+    had, are returned as they are. The walk keeps its own stack, and the
+    offset of each node on it, so it does not recurse on term depth."""
+    off = 0
     while type(t) is Var:
-        u = None if bound is None else bound(t.index)
-        if u is None:
+        m = None if bound is None else bound(t.index + off)
+        if m is None:
+            if off:
+                t = Var(t.index + off)
             return t if var_fn is None else var_fn(t)
-        t = u
+        t, off = m
     if not t.max_var:
         return t
-    # The walk is at `node`: `it` runs over its arguments and `out` holds
-    # those rebuilt so far. A non-ground argument saves the three on `stack`
-    # and becomes the node; a finished node goes to its parent's `out`.
-    node, it, out = t, iter(t.args), []
+    # The walk is at `node`, read at offset `noff`: `it` runs over its
+    # arguments and `out` holds those rebuilt so far. A non-ground argument
+    # saves the four on `stack` and becomes the node; a finished node goes
+    # to its parent's `out`.
+    node, noff, it, out = t, off, iter(t.args), []
     stack = []
     while True:
         for x in it:
+            off = noff
             while type(x) is Var:
-                u = None if bound is None else bound(x.index)
-                if u is None:
+                m = None if bound is None else bound(x.index + off)
+                if m is None:
                     break
-                x = u
+                x, off = m
             if type(x) is Var:
+                if off:
+                    x = Var(x.index + off)
                 out.append(x if var_fn is None else var_fn(x))
             elif not x.max_var:
                 out.append(x)
             else:
-                stack.append((node, it, out))
-                node, it, out = x, iter(x.args), []
+                stack.append((node, noff, it, out))
+                node, noff, it, out = x, off, iter(x.args), []
                 break
         else:
             args = tuple(out)
@@ -224,7 +235,7 @@ def rename(t: Term | Atom, var_fn: Callable[[Var], Term] | None = None,
                 new = Fn(node.name, args) if type(node) is Fn else Atom(node.pred, args)
             if not stack:
                 return new
-            node, it, out = stack.pop()
+            node, noff, it, out = stack.pop()
             out.append(new)
 
 

@@ -199,15 +199,22 @@ def rename_oracle(x: Term | Atom, var_fn=None, store=None) -> Term | Atom:
     return Atom(x.pred, args) if isinstance(x, Atom) else Fn(x.name, args)
 
 
-def random_store(rng: random.Random, nvars: int, depth: int = 3) -> dict[int, Term]:
-    """A random acyclic binding store: each x_i below x`nvars` is left free
-    or bound to a term over variables above i only."""
+def random_store(rng: random.Random, nvars: int,
+                 depth: int = 3) -> dict[int, tuple[Term, int]]:
+    """A random acyclic binding store of (term, offset) molecules: each key
+    i below `nvars` is left free or bound to a term over x1..x(nvars - i)
+    at an offset o >= i, whose variables x_j stand for the keys j + o > i."""
     store = {}
     for i in range(1, nvars):
         if rng.random() < 0.5:
-            t = random_term(rng, nvars - i, depth)
-            store[i] = rename_oracle(t, lambda v, i=i: Var(v.index + i))
+            store[i] = (random_term(rng, nvars - i, depth), rng.randint(i, nvars))
     return store
+
+
+def flat_store(store: dict[int, tuple[Term, int]]) -> dict[int, Term]:
+    """The plain store a molecule store stands for: each binding with its
+    variables shifted by its offset."""
+    return {k: rename_oracle(t, lambda v, o=o: Var(v.index + o)) for k, (t, o) in store.items()}
 
 
 def print_term_oracle(t: Term, name=lambda i: f"X{i}") -> str:

@@ -229,7 +229,7 @@ def test_deep_terms_exit_cleanly(capsys, monkeypatch):
 
     def too_deep(*args):
         raise RecursionError
-    monkeypatch.setattr(cotree, "render", too_deep)
+    monkeypatch.setattr(cotree, "render_chunks", too_deep)
     assert run(capsys, *argv) == (65, "", "matchlog: input nested too deeply to process\n")
     # Answers are read through the store by an explicit-stack walk and
     # compared without recursion, so enumeration goes on well past this depth.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -17,6 +18,7 @@ from matchlog import (
     check_bridge,
     parse_atom,
     parse_goal,
+    parse_program,
     replay_trace,
     sld_solve,
     tm_prove,
@@ -233,6 +235,70 @@ def test_sld_steps_apply_no_substitution(monkeypatch, listnat, gc):
         assert result.answers
         assert counts["unified"] > before
     assert counts["apply"] == 0
+
+
+def test_sld_solve_never_renames_a_clause(monkeypatch, listnat, listnat_plus, gc):
+    # Clauses are used in place at an offset; `rename_apart` is left to
+    # `replay_trace` and the tests.
+    from matchlog import substitution
+
+    def refuse(*args):
+        raise AssertionError("rename_apart called")
+
+    monkeypatch.setattr(engine_sld, "rename_apart", refuse)
+    monkeypatch.setattr(substitution, "rename_apart", refuse)
+    longest = 0
+    for program, text, limits in [
+        (listnat, "list(X)", SldLimits(max_answers=20)),
+        (listnat_plus, "list(cons(X, Y))", SldLimits(max_answers=3, max_steps=200)),
+        (gc, "connected(X, Y)", SldLimits(max_steps=64, max_answers=5, strategy="dfs")),
+    ]:
+        goal = parse_goal(text, program.signature)
+        result = sld_solve(program, goal.atoms, limits)
+        assert result.answers
+        longest = max([longest] + [a.steps for a in result.answers])
+    assert longest > 5
+
+
+def _conjunction(n):
+    """q(a). q(b). p(Y1, ..., Yn) :- q(Y1), ..., q(Yn). and the goal
+    p(X1, ..., Xn): every step but the first leaves a choice point."""
+    ys = ", ".join(f"Y{i}" for i in range(1, n + 1))
+    body = ", ".join(f"q(Y{i})" for i in range(1, n + 1))
+    program = parse_program(f"q(a).\nq(b).\np({ys}) :- {body}.\n")
+    goal, _ = parse_atom("p(" + ", ".join(f"X{i}" for i in range(1, n + 1)) + ")",
+                         program.signature)
+    return program, goal
+
+
+def test_choice_points_share_the_resolvent():
+    # Each choice point keeps the resolvent as a shared frame, so the peak
+    # grows with the conjunction's length; one resolvent copy per choice
+    # point would grow with its square (a ratio near 16 here).
+    peaks = []
+    for n in (500, 2000):
+        program, goal = _conjunction(n)
+        tracemalloc.start()
+        try:
+            result = sld_solve(program, [goal], SldLimits(strategy="dfs"))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(result.answers) == 1 and result.answers[0].steps == n + 1
+        assert result.answers[0].bindings == Substitution({i: Fn("a") for i in range(1, n + 1)})
+    assert peaks[1] / peaks[0] < 8
+
+
+def test_a_3000_step_derivation_replays():
+    program = parse_program("r(n0).\n" + "".join(f"r(n{k}) :- r(n{k - 1}).\n"
+                                                  for k in range(1, 3000)))
+    goal, _ = parse_atom("r(n2999)", program.signature)
+    for strategy in ("dfs", "iddfs"):
+        result = sld_solve(program, [goal], SldLimits(strategy=strategy))
+        (answer,) = result.answers
+        assert answer.steps == len(answer.trace) == 3000
+        assert [idx for idx, _ in answer.trace] == list(range(2999, -1, -1))
+        assert replay_trace(program, [goal], answer) == answer.bindings == Substitution()
 
 
 def test_sld_solve_equals_eager_oracle(listnat, listnat_plus, gc, bad, ex33):

@@ -10,6 +10,7 @@ from matchlog import (
     ArityMismatchError,
     ArrowSubstitution,
     Atom,
+    Clause,
     Fn,
     Substitution,
     Var,
@@ -30,6 +31,7 @@ from helpers import (
     check_mgm_case,
     check_mgu_case,
     enumerate_unifiers,
+    flat_store,
     ground_term_pool,
     random_atom,
     random_store,
@@ -125,24 +127,31 @@ def _resolved_by_fixpoint(store, x):
 
 
 def test_unify_binds_the_mgu_of_the_resolved_atoms_into_the_store():
+    # Molecules at random offsets against the eager path: the atoms shifted
+    # by `rename_apart` and resolved through the store's plain form.
     rng = random.Random(23)
     unified = 0
     for _ in range(400):
         store = random_store(rng, 6)
         before = dict(store)
+        plain = flat_store(store)
         a = random_atom(rng, 6)
         b = random_atom(rng, 6, preds=((a.pred, len(a.args)),))
-        ra, rb = _resolved_by_fixpoint(store, a), _resolved_by_fixpoint(store, b)
-        for t in a.args:
-            assert rename(t, bound=store.get) == _resolved_by_fixpoint(store, t)
+        a_off, b_off = rng.randint(0, 4), rng.randint(0, 4)
+        shifted_a = rename_apart(Clause(a), a_off).head
+        shifted_b = rename_apart(Clause(b), b_off).head
+        ra, rb = _resolved_by_fixpoint(plain, shifted_a), _resolved_by_fixpoint(plain, shifted_b)
+        for t in shifted_a.args:
+            assert rename(t, bound=store.get) == _resolved_by_fixpoint(plain, t)
         expected = mgu(ra, rb)
         trail = [0]  # an earlier entry, which unify must leave alone
-        ok = unify(a, b, store, trail)
+        ok = unify(a, a_off, b, b_off, store, trail)
         assert ok == (expected is not None)
         assert trail[0] == 0
         if ok:
             unified += 1
-            new = Substitution({i: rename(store[i], bound=store.get) for i in trail[1:]})
+            assert all(type(store[k]) is tuple and len(store[k]) == 2 for k in trail[1:])
+            new = Substitution({k: rename(Var(k), bound=store.get) for k in trail[1:]})
             assert new == expected
         while len(trail) > 1:
             del store[trail.pop()]
@@ -152,8 +161,9 @@ def test_unify_binds_the_mgu_of_the_resolved_atoms_into_the_store():
 
 def test_reading_through_a_store_and_occurs_check_do_not_recurse_on_depth():
     depth = 5000
-    chain = {i: Fn("s", (Var(i + 1),)) for i in range(1, depth)}
-    chain[depth] = Fn("0")
+    # Key i holds s(x1) at offset i, so its x1 is key i + 1.
+    chain = {i: (Fn("s", (Var(1),)), i) for i in range(1, depth)}
+    chain[depth] = (Fn("0"), 0)
     expected = Fn("0")
     for _ in range(depth - 1):
         expected = Fn("s", (expected,))
@@ -166,10 +176,10 @@ def test_reading_through_a_store_and_occurs_check_do_not_recurse_on_depth():
     # The same occurs check, with the depth in the store instead of the term.
     del chain[depth]
     trail = []
-    assert not unify(Atom("p", (Var(depth),)), Atom("p", (Var(1),)), chain, trail)
+    assert not unify(Atom("p", (Var(depth),)), 0, Atom("p", (Var(1),)), 0, chain, trail)
     assert trail == []
-    assert unify(Atom("p", (Var(depth + 1),)), Atom("p", (Var(1),)), chain, trail)
-    assert trail == [depth + 1] and chain[depth + 1] == Fn("s", (Var(2),))
+    assert unify(Atom("p", (Var(1),)), depth, Atom("p", (Var(1),)), 0, chain, trail)
+    assert trail == [depth + 1] and chain[depth + 1] == (Fn("s", (Var(1),)), 1)
 
 
 def test_double_renaming_is_summed_offset(gc):

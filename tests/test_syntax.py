@@ -37,6 +37,7 @@ from matchlog.syntax import (
 
 from helpers import (
     edge_program,
+    flat_store,
     forest_edges,
     max_var_oracle,
     print_term_oracle,
@@ -372,9 +373,9 @@ def test_rename_matches_a_recursive_oracle():
         for x, walk in ((t, rename), (a, rename_atom)):
             assert walk(x) is x and walk(x, bound={}.get) is x
             assert walk(x, _first_occurrence()) == rename_oracle(x, _first_occurrence())
-            assert walk(x, bound=store.get) == rename_oracle(x, store=store)
+            assert walk(x, bound=store.get) == rename_oracle(x, store=flat_store(store))
             assert (walk(x, _first_occurrence(), store.get)
-                    == rename_oracle(x, _first_occurrence(), store))
+                    == rename_oracle(x, _first_occurrence(), flat_store(store)))
 
 
 def test_rename_does_not_recurse_on_depth():
@@ -383,7 +384,9 @@ def test_rename_does_not_recurse_on_depth():
     for _ in range(depth):
         deep, image = Fn("s", (deep,)), Fn("s", (image,))
     assert rename(deep, lambda v: Fn("0")) == image
-    assert rename(deep, bound={1: Fn("0")}.get) == image
+    assert rename(deep, bound={1: (Fn("0"), 0)}.get) == image
+    # The same term as a binding at offset 1, so its x1 is key 2.
+    assert rename(Var(1), bound={1: (deep, 1), 2: (Fn("0"), 0)}.get) == image
     assert rename_atom(Atom("nat", (deep,)), lambda v: Fn("0")) == Atom("nat", (image,))
 
 
