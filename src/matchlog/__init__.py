@@ -75,7 +75,6 @@ from .coalgebra import (
     LaxSweepReport,
     PffElement,
     approximant_matches_tree,
-    coalgebra_program,
     default_check_atoms,
     encode_tree,
     enumerate_arrows,

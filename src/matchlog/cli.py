@@ -4,9 +4,10 @@ Subcommands: prove, solve, tree, check, classify. Exit codes for `prove`
 follow the three-valued verdict (0 proved, 1 failed, 2 unknown); `check`
 exits 0 exactly when no violations were found; usage errors, including
 out-of-range numeric bounds, exit 64; unreadable or malformed input, input
-nested too deeply to process, and a lax or inj sweep with no square to
-check, exit 65. Every subcommand formats its whole output before `main`
-writes any of it, so an exit 65 leaves stdout empty.
+nested too deeply to process, a lax or inj sweep with no square to check,
+and a bridge or ground-oracle check of a program with no atom, exit 65.
+Every subcommand formats its whole output before `main` writes any of it,
+so an exit 65 leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -183,6 +184,8 @@ def _check_bridge(program: Program, args: argparse.Namespace) -> tuple[bool, dic
     limits = engine_sld.SldLimits(max_steps=args.max_steps, max_answers=args.max_answers)
     reports = [engine_sld.check_bridge(program, goal, limits, tm_depth=args.depth)
                for goal in program.signature.generic_atoms]
+    if not reports:
+        raise ValueError("nothing to check: the program has no atom")
     ok = not any(rep.violations for rep in reports)
     goals = [{"goal": print_atom(rep.goal),
               "exhausted": rep.exhausted,
@@ -199,6 +202,8 @@ def _check_ground(program: Program, args: argparse.Namespace) -> tuple[bool, dic
         g = coalgebra.ground_coalgebra(program)
     except ValueError as exc:
         raise ValueError(f"ground-oracle requires a variable-free program: {exc}") from exc
+    if not g.atoms:
+        raise ValueError("nothing to check: the program has no atom")
     entailed = coalgebra.ground_lfp(program)
     depth = len(g.atoms) + 1
     atoms, lines = [], []

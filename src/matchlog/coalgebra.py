@@ -4,8 +4,9 @@ Ground side: a variable-free program is the same thing as a map sending each
 atom to the set of its clause bodies (a set of sets of atoms). Unfolding that
 map to a finite level produces nested approximants that carry exactly the
 information of the depth-truncated and-or tree; `approximant_matches_tree`
-checks the two constructions against each other. Each construction is one
-`cotree.fold`, so levels cost no Python frames, and its approximants are
+checks the two constructions against each other at the deepest level, since
+projection carries agreement down to every lower one. Each construction is
+one `cotree.fold`, so levels cost no Python frames, and its approximants are
 hash-consed: equal ones are one object, so the check is settled at the roots.
 
 First-order side: for an atom over a base of n variables, `pff_step` collects
@@ -66,6 +67,15 @@ class GroundCoalgebra:
     def mapping(self) -> dict[Atom, BodySets]:
         return dict(self.entries)
 
+    @cached_property
+    def program(self) -> Program:
+        """The normalised program presenting the map: clauses sorted, bodies sorted."""
+        clauses = []
+        for atom, sets in self.entries:
+            for body in sorted(sets, key=lambda s: sorted(print_atom(a) for a in s)):
+                clauses.append(Clause(atom, tuple(sorted(body, key=print_atom))))
+        return Program.of(clauses)
+
     @property
     def atoms(self) -> tuple[Atom, ...]:
         return tuple(a for a, _ in self.entries)
@@ -77,11 +87,15 @@ class GroundCoalgebra:
             raise ValueError(f"unknown atom {print_atom(atom)}") from None
 
 
-def ground_coalgebra(program: Program, extra_atoms: Iterable[Atom] = ()) -> GroundCoalgebra:
-    """Read off the structure map; rejects programs with variables."""
+def _require_ground(program: Program) -> None:
     for i, c in enumerate(program.clauses):
         if c.var_count:
             raise ValueError(f"clause {i} contains variables; the program is not ground")
+
+
+def ground_coalgebra(program: Program, extra_atoms: Iterable[Atom] = ()) -> GroundCoalgebra:
+    """Read off the structure map; rejects programs with variables."""
+    _require_ground(program)
     universe: set[Atom] = set(extra_atoms)
     bodies: dict[Atom, set[frozenset[Atom]]] = {}
     for c in program.clauses:
@@ -98,20 +112,9 @@ def ground_coalgebra(program: Program, extra_atoms: Iterable[Atom] = ()) -> Grou
     return GroundCoalgebra(entries)
 
 
-def coalgebra_program(g: GroundCoalgebra) -> Program:
-    """The normalised program presenting `g`: clauses sorted, bodies sorted."""
-    clauses = []
-    for atom, sets in g.entries:
-        for body in sorted(sets, key=lambda s: sorted(print_atom(a) for a in s)):
-            clauses.append(Clause(atom, tuple(sorted(body, key=print_atom))))
-    return Program.of(clauses)
-
-
 def ground_lfp(program: Program) -> frozenset[Atom]:
     """Least fixed point of the one-step consequence operator (ground only)."""
-    for i, c in enumerate(program.clauses):
-        if c.var_count:
-            raise ValueError(f"clause {i} contains variables; the program is not ground")
+    _require_ground(program)
     derived: set[Atom] = set()
     changed = True
     while changed:
@@ -189,10 +192,12 @@ def encode_tree(node: AndNode, level: int) -> Approximant:
 
 def approximant_matches_tree(g: GroundCoalgebra, atom: Atom, level: int) -> bool:
     """Does the level-n unfolding carry exactly the depth-n tree's information,
-    at every n from 0 to `level`? One depth-`level` tree serves every n, since
-    its level-n encoding reads only its first n layers."""
-    root = build_tree(coalgebra_program(g), atom, 0, level).root
-    return all(unfold(g, atom, n) == encode_tree(root, n) for n in range(level + 1))
+    at every n from 0 to `level`? One comparison at `level` settles every n:
+    by induction on the folds, `project_approximant` takes the level-(k+1)
+    unfolding and encoding to the level-k ones, so equal approximants at
+    `level` project to equal ones at each n below it."""
+    root = build_tree(g.program, atom, 0, level).root
+    return unfold(g, atom, level) == encode_tree(root, level)
 
 
 # ---------------------------------------------------------------------------

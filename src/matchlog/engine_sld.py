@@ -3,10 +3,10 @@
 Selection is always the leftmost atom; its candidate clauses
 (`Program.candidates`) are tried in program order, each with its variables
 placed above everything used so far. Answers are restricted to the query's
-own variables, canonically renamed, and deduplicated. Search is depth-first
-or iterative deepening (the default, so that looping programs still surface
-the answers a bounded search can reach); deepening doubles the step bound
-each sweep up to `max_steps`.
+own variables, canonically renamed, and deduplicated. Search is iterative
+deepening: depth-first sweeps under a step budget that doubles up to
+`max_steps`, so that looping programs still surface the answers a bounded
+search can reach. Strategy "dfs" starts the budget at `max_steps`.
 
 No clause is renamed and no resolvent is instantiated or copied, in the
 manner of Warren's abstract machine and of Boyer & Moore's structure
@@ -43,7 +43,8 @@ class SldLimits:
     """Search bounds. `max_steps` caps the number of resolution steps on each
     derivation, that is its length, not the total work of the search: every
     step still tries each candidate clause, and the number of derivations
-    within the bound can grow exponentially with it."""
+    within the bound can grow exponentially with it. `strategy` "iddfs"
+    deepens the budget from 1; "dfs" starts it at `max_steps`."""
 
     max_steps: int = 10_000
     max_answers: int = 1
@@ -173,23 +174,12 @@ def sld_solve(program: Program, goals: Sequence[Atom],
                     rest = (clause.body, 0, ceiling, rest)
                 node = (rest, ceiling + clause.var_count, steps + 1, (idx, ceiling, trace))
 
-    if limits.strategy == "dfs":
-        cutoff = sweep(limits.max_steps, -1)
-        exhausted = cutoff and len(answers) < limits.max_answers
-    else:
-        budget, floor = 1, -1
-        exhausted = False
-        while True:
-            cutoff = sweep(budget, floor)
-            if len(answers) >= limits.max_answers:
-                break
-            if not cutoff:
-                break
-            if budget >= limits.max_steps:
-                exhausted = True
-                break
-            budget, floor = min(budget * 2, limits.max_steps), budget
-    return SldResult(tuple(answers), exhausted)
+    budget, floor = (1 if limits.strategy == "iddfs" else limits.max_steps), -1
+    while sweep(budget, floor) and len(answers) < limits.max_answers:
+        if budget >= limits.max_steps:
+            return SldResult(tuple(answers), True)
+        budget, floor = min(budget * 2, limits.max_steps), budget
+    return SldResult(tuple(answers), False)
 
 
 def replay_trace(program: Program, goals: Sequence[Atom], answer: Answer) -> Substitution:

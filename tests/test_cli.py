@@ -77,14 +77,18 @@ def test_check_inj(capsys):
     assert "STRICT OK" in out
 
 
-def test_check_with_nothing_to_check_is_a_data_error(capsys):
-    for program in ("gc.lp", "bad.lp"):
-        for what in ("lax", "inj"):
-            for fmt in ("ascii", "json"):
-                code, out, err = run(capsys, "check", PROGRAMS / program, "--what", what,
-                                     "--arity", "0", "--format", fmt)
-                assert code == 65 and out == ""
-                assert err.startswith("matchlog: ") and err.count("\n") == 1
+def test_check_with_nothing_to_check_is_a_data_error(capsys, tmp_path):
+    empty = tmp_path / "empty.lp"
+    empty.write_text("")
+    cases = [(PROGRAMS / program, what, "--arity", "0")
+             for program in ("gc.lp", "bad.lp") for what in ("lax", "inj")]
+    cases += [(empty, what) for what in ("bridge", "ground-oracle")]
+    for program, what, *bounds in cases:
+        for fmt in ("ascii", "json"):
+            code, out, err = run(capsys, "check", program, "--what", what, *bounds,
+                                 "--format", fmt)
+            assert code == 65 and out == ""
+            assert err.startswith("matchlog: nothing to check: ") and err.count("\n") == 1
     code, out, _ = run(capsys, "check", PROGRAMS / "ex33.lp", "--what", "lax", "--arity", "0")
     assert code == 0 and out.startswith("checked 4 squares") and "LAX OK" in out
 
@@ -106,20 +110,20 @@ def test_check_ground_oracle(capsys):
                 "clause 0 contains variables; the program is not ground\n")
 
 
-def test_ground_oracle_250_levels_deep(capsys, tmp_path, monkeypatch):
+def test_ground_oracle_3000_levels_deep(capsys, tmp_path, monkeypatch):
     # Unfolding and encoding are folds over interned approximants, so the
     # number of levels costs no frames and the comparison ends at the roots.
-    # Each atom's levels are read off one tree.
+    # Each atom's levels are read off one tree, in one comparison.
     real_build, builds = coalgebra.build_tree, []
     monkeypatch.setattr(coalgebra, "build_tree",
                         lambda *args: builds.append(args[3]) or real_build(*args))
     program = tmp_path / "cycle.lp"
     program.write_text("p :- q.\nq :- p.\n")
-    code, out, err = run(capsys, "check", program, "--what", "ground-oracle", "--levels", "250")
+    code, out, err = run(capsys, "check", program, "--what", "ground-oracle", "--levels", "3000")
     assert (code, err) == (0, "")
-    assert out.splitlines() == [f"GROUND OK  A={a}  levels=0..250 match=True  lfp_agrees=True"
+    assert out.splitlines() == [f"GROUND OK  A={a}  levels=0..3000 match=True  lfp_agrees=True"
                                 for a in "pq"]
-    assert builds == [250, 250]
+    assert builds == [3000, 3000]
 
 
 def test_check_writes_nothing_when_it_fails_midway(capsys, monkeypatch):

@@ -21,8 +21,8 @@ from matchlog import (
     apply,
     approximant_matches_tree,
     build_tree,
-    coalgebra_program,
     default_check_atoms,
+    encode_tree,
     enumerate_arrows,
     enumerate_terms,
     ground_coalgebra,
@@ -75,10 +75,10 @@ def test_program_coalgebra_round_trip():
     for _ in range(40):
         program = random_ground_program(rng)
         g = ground_coalgebra(program)
-        assert ground_coalgebra(coalgebra_program(g)) == g
+        assert ground_coalgebra(g.program) == g
         # the other direction is identity up to clause order and duplicate
         # collapse: same clauses as (head, body-set) pairs
-        back = coalgebra_program(g)
+        back = g.program
         as_pairs = lambda p: {(c.head, frozenset(c.body)) for c in p.clauses}
         assert as_pairs(back) == as_pairs(program)
 
@@ -107,16 +107,42 @@ def test_unfold_unknown_atom(ex33):
         unfold(ground_coalgebra(ex33), Atom("zz"), 1)
 
 
-def test_cone_condition(ex33):
-    rng = random.Random(71)
-    coalgebras = [ground_coalgebra(ex33)] + [
-        ground_coalgebra(random_ground_program(rng)) for _ in range(15)
+def _criterion_3_coalgebras(ex33):
+    """ex33 and the 100 random ground programs of acceptance criterion 3."""
+    rng = random.Random(2024)
+    return [ground_coalgebra(ex33)] + [
+        ground_coalgebra(random_ground_program(rng)) for _ in range(100)
     ]
-    for g in coalgebras:
+
+
+def _is_cone(xs):
+    """Does projecting each approximant give the one before it, as one object?"""
+    return all(y.level > 0 and project_approximant(y) is x for x, y in zip(xs, xs[1:]))
+
+
+def test_cone_condition(ex33, monkeypatch):
+    # Unfolding and tree encoding both commute with projection, which is why
+    # approximant_matches_tree compares at its deepest level only.
+    for g in _criterion_3_coalgebras(ex33):
         for atom in g.atoms:
-            for level in range(5):
-                assert project_approximant(unfold(g, atom, level + 1)) \
-                    == unfold(g, atom, level)
+            root = build_tree(g.program, atom, 0, 8).root
+            assert _is_cone([unfold(g, atom, k) for k in range(9)])
+            assert _is_cone([encode_tree(root, k) for k in range(9)])
+    # An encoding wrong at the top of level 1 alone breaks the cone.
+    real_encode = coalgebra.encode_tree
+    monkeypatch.setattr(coalgebra, "encode_tree",
+                        lambda node, n: real_encode(node, 0 if n == 1 else n))
+    root = build_tree(ground_coalgebra(ex33).program, A, 0, 8).root
+    assert not _is_cone([coalgebra.encode_tree(root, k) for k in range(9)])
+
+
+def test_approximant_matches_tree_agrees_with_every_level_loop(ex33):
+    for g in _criterion_3_coalgebras(ex33):
+        for atom in g.atoms:
+            root = build_tree(g.program, atom, 0, 8).root
+            for level in range(9):
+                assert approximant_matches_tree(g, atom, level) == all(
+                    unfold(g, atom, n) == encode_tree(root, n) for n in range(level + 1))
 
 
 def test_approximant_matches_tree_examples(ex33):
@@ -128,19 +154,27 @@ def test_approximant_matches_tree_examples(ex33):
 
 def test_approximant_matches_tree_checks_every_level_on_one_tree(ex33, monkeypatch):
     g = ground_coalgebra(ex33)
-    real_build, real_encode = coalgebra.build_tree, coalgebra.encode_tree
-    builds = []
-    monkeypatch.setattr(coalgebra, "build_tree",
-                        lambda *args: builds.append(args[3]) or real_build(*args))
+    calls = {"build_tree": [], "unfold": [], "encode_tree": []}
+    for name, levels in calls.items():
+        real = getattr(coalgebra, name)
+        monkeypatch.setattr(coalgebra, name, lambda *args, real=real, levels=levels:
+                            levels.append(args[-1]) or real(*args))
     for atom in g.atoms:
         assert approximant_matches_tree(g, atom, 3)
-    assert builds == [3] * len(g.atoms)
-    # An encoding wrong at level 1 alone passes at level 0 and fails up to level 3.
-    monkeypatch.setattr(coalgebra, "encode_tree",
-                        lambda node, n: real_encode(node, 0 if n == 1 else n))
-    for atom in g.atoms:
-        assert approximant_matches_tree(g, atom, 0)
-        assert not approximant_matches_tree(g, atom, 3)
+    assert calls == {name: [3] * len(g.atoms) for name in calls}
+    # An encoding whose level-1 nodes each lose a branch is caught at level 3
+    # by every atom whose depth-3 tree has such a node (a and d, through the
+    # cycle a -> d -> a), and passes at level 0.
+    real_encode, real_approximant = coalgebra.encode_tree, coalgebra._approximant
+
+    def lossy_encode(node, n):
+        with monkeypatch.context() as m:
+            m.setattr(coalgebra, "_approximant", lambda level, atom, groups:
+                      real_approximant(level, atom, groups[1:] if level == 1 else groups))
+            return real_encode(node, n)
+    monkeypatch.setattr(coalgebra, "encode_tree", lossy_encode)
+    assert all(approximant_matches_tree(g, atom, 0) for atom in g.atoms)
+    assert [atom for atom in g.atoms if not approximant_matches_tree(g, atom, 3)] == [A, D]
 
 
 def test_pff_step_examples(listnat, gc):
