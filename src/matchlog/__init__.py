@@ -23,7 +23,6 @@ from .syntax import (
     parse_atom,
     parse_goal,
     parse_program,
-    print_atom,
     print_clause,
     print_program,
     print_term,

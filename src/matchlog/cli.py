@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 from . import coalgebra, cotree, engine_sld, engine_tm, syntax
 from .cotree import Status
 from .substitution import Substitution
-from .syntax import ArityMismatchError, ParseError, Program, print_atom, print_term
+from .syntax import ArityMismatchError, ParseError, Program, print_term
 
 EX_USAGE = 64
 EX_DATAERR = 65
@@ -163,7 +163,7 @@ def _check_lax(program: Program, args: argparse.Namespace) -> tuple[bool, dict, 
     others = () if strict_expected else report.equality_failures
     # simplest witnesses first
     witnesses = sorted(report.lax_failures + report.injection_failures + others,
-                       key=lambda sq: (len(str(sq.arrow)), str(sq.arrow), print_atom(sq.atom)))
+                       key=lambda sq: (len(str(sq.arrow)), str(sq.arrow), print_term(sq.atom)))
     ok = report.all_lax_ok and (not strict_expected or report.injections_strict)
     shown, hidden = witnesses[:args.max_report], len(witnesses) - args.max_report
     doc = {"check": args.what,
@@ -187,10 +187,10 @@ def _check_bridge(program: Program, args: argparse.Namespace) -> tuple[bool, dic
     if not reports:
         raise ValueError("nothing to check: the program has no atom")
     ok = not any(rep.violations for rep in reports)
-    goals = [{"goal": print_atom(rep.goal),
+    goals = [{"goal": print_term(rep.goal),
               "exhausted": rep.exhausted,
               "answers": [{"answer": str(e.answer.bindings),
-                           "instance": print_atom(e.instance),
+                           "instance": print_term(e.instance),
                            "tm": str(e.status)} for e in rep.entries]}
              for rep in reports]
     doc = {"check": "bridge", "goals": goals, "ok": ok}
@@ -211,10 +211,10 @@ def _check_ground(program: Program, args: argparse.Namespace) -> tuple[bool, dic
         levels_ok = coalgebra.approximant_matches_tree(g, atom, args.levels)
         proved = engine_tm.tm_status(program, atom, depth) is Status.PROVED
         lfp_ok = proved == (atom in entailed)
-        atoms.append({"atom": print_atom(atom), "levels_match": levels_ok,
+        atoms.append({"atom": print_term(atom), "levels_match": levels_ok,
                       "lfp_agrees": lfp_ok})
         tag = "GROUND OK" if levels_ok and lfp_ok else "GROUND FAIL"
-        lines.append(f"{tag}  A={print_atom(atom)}  levels=0..{args.levels} "
+        lines.append(f"{tag}  A={print_term(atom)}  levels=0..{args.levels} "
                      f"match={levels_ok}  lfp_agrees={lfp_ok}")
     ok = all(a["levels_match"] and a["lfp_agrees"] for a in atoms)
     doc = {"check": "ground-oracle", "levels": args.levels, "atoms": atoms, "ok": ok}

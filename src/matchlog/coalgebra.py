@@ -42,11 +42,10 @@ from .syntax import (
     Signature,
     Term,
     Var,
-    atom_vars,
     lookup,
-    max_var,
-    print_atom,
-    rename_atom,
+    print_term,
+    rename,
+    term_vars,
 )
 
 
@@ -72,8 +71,8 @@ class GroundCoalgebra:
         """The normalised program presenting the map: clauses sorted, bodies sorted."""
         clauses = []
         for atom, sets in self.entries:
-            for body in sorted(sets, key=lambda s: sorted(print_atom(a) for a in s)):
-                clauses.append(Clause(atom, tuple(sorted(body, key=print_atom))))
+            for body in sorted(sets, key=lambda s: sorted(print_term(a) for a in s)):
+                clauses.append(Clause(atom, tuple(sorted(body, key=print_term))))
         return Program.of(clauses)
 
     @property
@@ -84,7 +83,7 @@ class GroundCoalgebra:
         try:
             return self.mapping[atom]
         except KeyError:
-            raise ValueError(f"unknown atom {print_atom(atom)}") from None
+            raise ValueError(f"unknown atom {print_term(atom)}") from None
 
 
 def _require_ground(program: Program) -> None:
@@ -107,7 +106,7 @@ def ground_coalgebra(program: Program, extra_atoms: Iterable[Atom] = ()) -> Grou
         bodies[c.head].add(frozenset(c.body))
     entries = tuple(
         (a, frozenset(bodies[a]))
-        for a in sorted(universe, key=print_atom)
+        for a in sorted(universe, key=print_term)
     )
     return GroundCoalgebra(entries)
 
@@ -223,16 +222,16 @@ class PffElement:
         if all(a.max_var <= base for s in raw for a in s):
             return cls(base, 0, frozenset(frozenset(s) for s in raw))
         fresh_vars = sorted({
-            i for s in raw for a in s for i in atom_vars(a) if i > base
+            i for s in raw for a in s for i in term_vars(a) if i > base
         })
         k = len(fresh_vars)
         best_key = None
         best_body = None
         for perm in itertools.permutations(range(base + 1, base + k + 1)):
             var_fn = lookup({old: Var(new) for old, new in zip(fresh_vars, perm)})
-            body = frozenset(frozenset(rename_atom(a, var_fn) for a in s) for s in raw)
+            body = frozenset(frozenset(rename(a, var_fn) for a in s) for s in raw)
             key = tuple(sorted(
-                tuple(sorted(print_atom(a) for a in s)) for s in body
+                tuple(sorted(print_term(a) for a in s)) for s in body
             ))
             if best_key is None or key < best_key:
                 best_key = key
@@ -242,7 +241,7 @@ class PffElement:
 
     def __str__(self) -> str:
         inner = sorted(
-            "{" + ", ".join(sorted(print_atom(a) for a in s)) + "}" for s in self.body
+            "{" + ", ".join(sorted(print_term(a) for a in s)) + "}" for s in self.body
         )
         return "{" + ", ".join(inner) + "}"
 
@@ -254,8 +253,13 @@ def pff_step(program: Program, atom: Atom, base: int) -> PffElement:
     body, with its body-only variables sent to fresh indices base+1, ...
     """
     program.check_atom(atom)
-    if max_var(atom) > base:
-        raise ArityMismatchError(print_atom(atom), base, max_var(atom), "goal")
+    if atom.max_var > base:
+        raise ArityMismatchError(print_term(atom), base, atom.max_var, "goal")
+    return pff_step_unchecked(program, atom, base)
+
+
+def pff_step_unchecked(program: Program, atom: Atom, base: int) -> PffElement:
+    """`pff_step` for an atom known to fit the program's signature and `base`."""
     return PffElement.canonical(
         base, [frozenset(body) for _, _, body in instances(program, atom, base)])
 
@@ -266,7 +270,7 @@ def pff_map(f: ArrowSubstitution, e: PffElement) -> PffElement:
     if f.target != e.base:
         raise ArityMismatchError("element base", f.target, e.base, "arrow target")
     return PffElement.canonical(
-        f.source, [frozenset(rename_atom(a, f.rename_var) for a in s) for s in e.body])
+        f.source, [frozenset(rename(a, f.rename_var) for a in s) for s in e.body])
 
 
 def rebase(e: PffElement, base: int) -> PffElement:
@@ -286,7 +290,7 @@ def rebase(e: PffElement, base: int) -> PffElement:
     def var_fn(v: Var) -> Term:
         return Var(v.index + shift) if v.index > top else v
 
-    return PffElement.canonical(base, [[rename_atom(a, var_fn) for a in s] for s in e.body])
+    return PffElement.canonical(base, [[rename(a, var_fn) for a in s] for s in e.body])
 
 
 def pp_leq(a: Iterable[Iterable[Atom]], b: Iterable[Iterable[Atom]]) -> bool:
@@ -311,7 +315,7 @@ def pff_leq(e1: PffElement, e2: PffElement) -> bool:
     src = range(base + 1, base + e1.fresh + 1)
     for image in itertools.permutations(range(base + 1, base + e2.fresh + 1), e1.fresh):
         var_fn = lookup({old: Var(new) for old, new in zip(src, image)})
-        if pp_leq([{rename_atom(a, var_fn) for a in s} for s in e1.body], e2.body):
+        if pp_leq([{rename(a, var_fn) for a in s} for s in e1.body], e2.body):
             return True
     return False
 
@@ -340,13 +344,13 @@ class LaxSquare:
             tag = "STRICT FAIL"
         else:
             tag = "LAX OK"
-        return (f"{tag}  f={self.arrow}  A={print_atom(self.atom)}  "
+        return (f"{tag}  f={self.arrow}  A={print_term(self.atom)}  "
                 f"lhs={self.lhs} rhs={self.rhs}")
 
     def to_record(self) -> dict:
         return {
             "arrow": str(self.arrow),
-            "atom": print_atom(self.atom),
+            "atom": print_term(self.atom),
             "lhs": str(self.lhs),
             "rhs": str(self.rhs),
             "lax_ok": self.lax_ok,
@@ -462,14 +466,15 @@ def lax_sweep(program: Program,
 
     Neither side of a square mentions the target m, and the source n only
     shifts their fresh blocks. So each (atom, restriction) pair is decided
-    once, by `lax_square` on the arrow n->max_var(atom), with one `pff_step`
-    per atom at its own arity, moved to base n by `rebase`. A strict pair
-    keeps only its verdict. A pair that is not strict keeps its square, and
-    each later (m, n) re-emits it with its own witness and rebased sides.
-    The injective arrows of such a class are enumerated directly, as
-    permutations of the variables the restriction leaves unused, so the
-    cost grows with distinct pairs and with those extensions, never with
-    the number of arrows.
+    once, by `lax_square` on the arrow n->atom.max_var, with one step per atom
+    at its own arity, moved to base n by `rebase`. The step is
+    `pff_step_unchecked`: each supplied atom is checked once, and its images
+    under pool terms cannot clash. A strict pair keeps only its verdict. A
+    pair that is not strict keeps its square, and each later (m, n) re-emits
+    it with its own witness and rebased sides. The injective arrows of such a
+    class are enumerated directly, as permutations of the variables the
+    restriction leaves unused, so the cost grows with distinct pairs and with
+    those extensions, never with the number of arrows.
     """
     if atom_bases is None:
         atom_bases = default_check_atoms(program, max_arity)
@@ -480,7 +485,7 @@ def lax_sweep(program: Program,
     def step(atom: Atom, base: int) -> PffElement:
         e = stepped.get(atom)
         if e is None:
-            e = stepped[atom] = pff_step(program, atom, atom.max_var)
+            e = stepped[atom] = pff_step_unchecked(program, atom, atom.max_var)
         return rebase(e, base)
 
     # Decided (atom, restriction) pairs: the strict ones, and the square of
@@ -497,8 +502,9 @@ def lax_sweep(program: Program,
     for atom, m in atom_bases:
         top = atom.max_var
         if top > m:
-            pff_step(program, atom, m)  # raises ArityMismatchError
-        used = tuple(sorted(set(atom_vars(atom))))
+            pff_step(program, atom, m)  # checks `atom`, then raises ArityMismatchError
+        program.check_atom(atom)
+        used = tuple(sorted(set(term_vars(atom))))
         free = [i for i in range(1, m + 1) if i not in used]
         for n in range(max_arity + 1):
             pool = terms_by_n[n]

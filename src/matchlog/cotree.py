@@ -6,7 +6,8 @@ or-node for clause ``B :- B1, ..., Bn`` has the n matched body instances as
 children, in order. Clauses with body-only variables introduce fresh
 variables, numbered just above everything already used on the path from the
 root, so the full tree may be infinite; `build_tree` cuts it at a given
-number of or-layers and flags the cut and-nodes as truncated.
+number of or-layers and flags the cut and-nodes as truncated. Its step,
+`or_children`, is also the one the term-matching prover extracts proofs with.
 
 `success_subtree` searches a truncation for a proof: a choice of one
 or-child per and-node with every branch closing at a childless or-node.
@@ -29,20 +30,17 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable
+from typing import Any, Callable, Hashable, Iterator
 
 from .syntax import (
     ArityMismatchError,
     Atom,
     Program,
     Signature,
-    max_var,
     parse_canonical_atom,
     parse_canonical_term,
-    print_atom,
     print_term,
     rename,
-    rename_atom,
     renumbering,
     var_name,
 )
@@ -157,6 +155,18 @@ class TreeOutcome:
 # Construction
 # ---------------------------------------------------------------------------
 
+def or_children(program: Program, atom: Atom, remaining: int,
+                ceiling: int) -> Iterator[tuple[tuple[int, Substitution], list]]:
+    """The or-children of the tree node (atom, remaining depth, fresh
+    ceiling), lazily: each clause instance's (clause index, matcher) label
+    and its body's nodes. A subtree depends only on these three values."""
+    if remaining:
+        for idx, theta, body in instances(program, atom, ceiling):
+            c = program.clauses[idx]
+            below = ceiling + c.var_count - c.head_var_count
+            yield (idx, theta), [(b, remaining - 1, below) for b in body]
+
+
 def build_tree(program: Program, goal: Atom, base: int, depth: int) -> CoTree:
     """The depth-`depth` truncation of the and-or tree for `goal` over `base` vars.
 
@@ -166,20 +176,10 @@ def build_tree(program: Program, goal: Atom, base: int, depth: int) -> CoTree:
     if depth < 0:
         raise ValueError("depth must be >= 0")
     program.check_atom(goal)
-    if max_var(goal) > base:
-        raise ArityMismatchError(print_atom(goal), base, max_var(goal), "goal")
-
-    # A subtree depends only on its atom, remaining depth and fresh ceiling.
-    def groups(x: tuple[Atom, int, int]) -> list:
-        atom, remaining, ceiling = x
-        out = []
-        for idx, theta, body in instances(program, atom, ceiling) if remaining else ():
-            c = program.clauses[idx]
-            below = ceiling + c.var_count - c.head_var_count
-            out.append(((idx, theta), [(b, remaining - 1, below) for b in body]))
-        return out
-
-    return CoTree(fold((goal, depth, base), lambda x: x, groups,
+    if goal.max_var > base:
+        raise ArityMismatchError(print_term(goal), base, goal.max_var, "goal")
+    return CoTree(fold((goal, depth, base), lambda x: x,
+                       lambda x: list(or_children(program, *x)),
                        lambda x, ors: and_node(x[0], ors, x[1] == 0)), base)
 
 
@@ -214,7 +214,7 @@ def success_subtree(t: CoTree) -> TreeOutcome:
     # A node's value: its verdict, and the proof through its first proved or-child.
     def make(node: AndNode, ors: list) -> tuple[Status, AndNode | None]:
         if node.truncated or not ors:
-            dead = not node.truncated and max_var(node.atom) <= t.base
+            dead = not node.truncated and node.atom.max_var <= t.base
             return (Status.FAILED if dead else Status.UNKNOWN), None
         status = max(min((s for s, _ in kids), default=Status.PROVED) for _, kids in ors)
         for label, kids in ors:
@@ -242,7 +242,7 @@ def map_tree(f: ArrowSubstitution, t: CoTree) -> CoTree:
     var_fn = f.rename_var
 
     def make(node: AndNode, ors: list) -> AndNode:
-        return and_node(rename_atom(node.atom, var_fn), [
+        return and_node(rename(node.atom, var_fn), [
             ((i, Substitution({j: rename(v, var_fn) for j, v in m.items()})), kids)
             for (i, m), kids in ors], node.truncated)
 
@@ -293,7 +293,7 @@ def tree_equal_upto_renaming(a: CoTree, b: CoTree) -> bool:
             continue
         seen.add((id(x), id(y)))
         if (x.truncated != y.truncated or len(x.children) != len(y.children)
-                or rename_atom(x.atom, fresh_a) != rename_atom(y.atom, fresh_b)):
+                or rename(x.atom, fresh_a) != rename(y.atom, fresh_b)):
             return False
         for ox, oy in zip(x.children, y.children):
             if ox.clause_index != oy.clause_index or len(ox.children) != len(oy.children):
@@ -316,7 +316,7 @@ def _ascii_text(root: AndNode) -> str:
             lines.append(prefix)
             continue
         mark = " …" if node.truncated else ""
-        lines.append(f"{prefix}{connector}{print_atom(node.atom)}{mark}")
+        lines.append(f"{prefix}{connector}{print_term(node.atom)}{mark}")
         if connector:
             prefix += "   " if connector == "└─ " else "│  "
         branch = "└─ "  # the children are pushed last first
@@ -344,7 +344,7 @@ def _dot_text(root: AndNode) -> str:
             lines += [f"  {nid} [shape=point];", f"  {parent} -> {nid};"]
         else:
             style = ", style=dashed" if x.truncated else ""
-            lines.append(f'  {nid} [shape=box, label="{print_atom(x.atom)}"{style}];')
+            lines.append(f'  {nid} [shape=box, label="{print_term(x.atom)}"{style}];')
             if parent is not None:
                 stack.append((None, f"  {parent} -> {nid};"))
         for c in reversed(x.children):
@@ -361,7 +361,7 @@ def _json_pieces(root: AndNode, base: int) -> list[str]:
     while stack:
         x, pad = stack.pop()
         if type(x) is AndNode:
-            x = {"kind": "and", "atom": print_atom(x.atom), "truncated": x.truncated,
+            x = {"kind": "and", "atom": print_term(x.atom), "truncated": x.truncated,
                  **({"base": base} if x is root else {}),
                  "children": [{"kind": "or", "clause": o.clause_index, "matcher": {
                      var_name(j): print_term(v) for j, v in o.matcher.items()},

@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 from .cotree import Status
 from .engine_tm import tm_status
 from .substitution import Substitution, apply, compose, mgu, rename_apart, unify, walk
-from .syntax import Atom, Program, Term, Var, max_var, print_atom, rename, renumbering
+from .syntax import Atom, Program, Term, Var, print_term, rename, renumbering
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ def sld_solve(program: Program, goals: Sequence[Atom],
     goals = tuple(goals)
     for g in goals:
         program.check_atom(g)
-    n0 = max_var(goals)
+    n0 = max((g.max_var for g in goals), default=0)
     clauses = program.clauses
 
     answers: list[Answer] = []
@@ -149,7 +149,7 @@ def sld_solve(program: Program, goals: Sequence[Atom],
                         rest = (atoms, position + 1, offset, rest)
                     first = (walk(selected.args[0], offset, store.get)[0]
                              if selected.args else None)
-                    candidates = program.candidates(selected.pred, first)
+                    candidates = program.candidates(selected.name, first)
                     if candidates:
                         choices.append([selected, offset, rest, ceiling, steps, trace,
                                         candidates, 0, len(trail)])
@@ -203,7 +203,7 @@ def replay_trace(program: Program, goals: Sequence[Atom], answer: Answer) -> Sub
         raise ValueError("trace ends on a non-empty goal")
     # Composed from idempotent unifiers over renamed-apart clauses, `sigma` is
     # idempotent, so reading through it applies it once.
-    return _canonical_answer(max_var(tuple(goals)),
+    return _canonical_answer(max((g.max_var for g in goals), default=0),
                              {i: (t, 0) for i, t in sigma.items()}.get)
 
 
@@ -232,11 +232,11 @@ class BridgeReport:
         lines = []
         for e in self.entries:
             tag = "BRIDGE FAIL" if e.status is Status.FAILED else "BRIDGE OK"
-            lines.append(f"{tag}  goal={print_atom(self.goal)}  "
-                         f"answer={e.answer.bindings}  instance={print_atom(e.instance)}  "
+            lines.append(f"{tag}  goal={print_term(self.goal)}  "
+                         f"answer={e.answer.bindings}  instance={print_term(e.instance)}  "
                          f"tm={e.status}")
         if not self.entries:
-            lines.append(f"BRIDGE OK  goal={print_atom(self.goal)}  (no answers)")
+            lines.append(f"BRIDGE OK  goal={print_term(self.goal)}  (no answers)")
         return "\n".join(lines) + "\n"
 
 

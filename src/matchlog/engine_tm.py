@@ -10,16 +10,18 @@ variable stands for an arbitrary instantiation.
 
 The search is an independent implementation of the verdict that
 `cotree.success_subtree(cotree.build_tree(...))` computes; the two are
-cross-checked in the test suite.
+cross-checked in the test suite. Its verdicts do not depend on how fresh
+variables are numbered, so the proof is extracted with `build_tree`'s own
+step, `cotree.or_children`: it is the success subtree of that tree.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Generator
 
-from .cotree import ProofTree, Status, TreeOutcome, and_node, fold
+from .cotree import ProofTree, Status, TreeOutcome, and_node, fold, or_children
 from .substitution import instances
-from .syntax import Atom, Program, renumbering, rename_atom
+from .syntax import Atom, Program, rename, renumbering
 
 
 def tm_prove(program: Program, goal: Atom, depth: int) -> TreeOutcome:
@@ -35,15 +37,15 @@ def tm_prove(program: Program, goal: Atom, depth: int) -> TreeOutcome:
         return TreeOutcome(outcome)
     base = goal.max_var
 
-    def chosen(x: tuple[Atom, int]) -> list:
-        """The first instance of `x` whose whole body is proved."""
-        atom, remaining = x
-        for idx, theta, body in instances(program, atom, max(base, atom.max_var)):
-            if all(status(sub, remaining - 1) is Status.PROVED for sub in body):
-                return [((idx, theta), [(sub, remaining - 1) for sub in body])]
+    def chosen(x: tuple[Atom, int, int]) -> list:
+        """The first or-child of the tree node `x` whose whole body is proved."""
+        for label, kids in or_children(program, *x):
+            if all(status(atom, remaining) is Status.PROVED for atom, remaining, _ in kids):
+                return [(label, kids)]
         raise AssertionError("proof extraction on an unproved goal")
 
-    proof = fold((goal, depth), lambda x: x, chosen, lambda x, ors: and_node(x[0], ors, False))
+    proof = fold((goal, depth, base), lambda x: x, chosen,
+                 lambda x, ors: and_node(x[0], ors, False))
     return TreeOutcome(outcome, ProofTree(proof, base))
 
 
@@ -72,7 +74,7 @@ def _searcher(program: Program, goal: Atom, depth: int) -> Callable[[Atom, int],
             return Status.UNKNOWN
         top = atom.max_var
         # renumbering(base) is the identity on an atom over x1..x`base`.
-        key = (atom if top <= base else rename_atom(atom, renumbering(base, {})), remaining)
+        key = (atom if top <= base else rename(atom, renumbering(base, {})), remaining)
         hit = memo.get(key)
         return expand(atom, remaining, top, key) if hit is None else hit
 

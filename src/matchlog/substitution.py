@@ -32,10 +32,8 @@ from .syntax import (
     Term,
     Var,
     lookup,
-    max_var,
     print_term,
     rename,
-    rename_atom,
     var_name,
 )
 
@@ -96,9 +94,9 @@ _Applicable = Union[Term, Atom, Sequence[Atom]]
 @overload
 def apply(s: Substitution, x: Var) -> Term: ...
 @overload
-def apply(s: Substitution, x: Fn) -> Fn: ...
-@overload
 def apply(s: Substitution, x: Atom) -> Atom: ...
+@overload
+def apply(s: Substitution, x: Fn) -> Fn: ...
 @overload
 def apply(s: Substitution, x: Sequence[Atom]) -> tuple[Atom, ...]: ...
 
@@ -106,11 +104,9 @@ def apply(s: Substitution, x: Sequence[Atom]) -> tuple[Atom, ...]: ...
 def apply(s: Substitution, x: _Applicable) -> _Applicable:
     """Homomorphic, simultaneous replacement of variables in x."""
     var_fn = lookup(s._bindings)
-    if isinstance(x, Atom):
-        return rename_atom(x, var_fn)
     if isinstance(x, (Var, Fn)):
         return rename(x, var_fn)
-    return tuple([rename_atom(a, var_fn) for a in x])
+    return tuple([rename(a, var_fn) for a in x])
 
 
 def compose(s1: Substitution, s2: Substitution) -> Substitution:
@@ -138,7 +134,7 @@ def unify(a: Atom, a_off: int, b: Atom, b_off: int,
     on failure the bindings made so far stay, and popping the trail undoes
     them. Of two unified variables the larger key is bound to the smaller.
     """
-    if a.pred != b.pred or len(a.args) != len(b.args):
+    if a.name != b.name or len(a.args) != len(b.args):
         return False
     binding = store.get
     stack = [(x, a_off, y, b_off) for x, y in zip(a.args, b.args)]
@@ -214,7 +210,7 @@ def mgm(pattern: Atom, target: Atom) -> Substitution | None:
     constants, so the target is never specialised. When a matcher exists it
     is the unique one on vars(pattern).
     """
-    if pattern.pred != target.pred or len(pattern.args) != len(target.args):
+    if pattern.name != target.name or len(pattern.args) != len(target.args):
         return None
     bind: dict[int, Term] = {}
     stack = list(zip(pattern.args, target.args))
@@ -243,7 +239,7 @@ def rename_apart(c: Clause, avoid: int) -> Clause:
     def var_fn(v: Var) -> Term:
         return Var(v.index + avoid)
 
-    return Clause(rename_atom(c.head, var_fn), tuple([rename_atom(a, var_fn) for a in c.body]))
+    return Clause(rename(c.head, var_fn), tuple([rename(a, var_fn) for a in c.body]))
 
 
 def instances(program: Program, atom: Atom,
@@ -254,7 +250,7 @@ def instances(program: Program, atom: Atom,
     body-only variables to the fresh indices ceiling+1, ceiling+2, ..., and
     the body under that matcher.
     """
-    for idx in program.candidates(atom.pred, atom.args[0] if atom.args else None,
+    for idx in program.candidates(atom.name, atom.args[0] if atom.args else None,
                                   matching=True):
         clause = program.clauses[idx]
         theta = mgm(clause.head, atom)
@@ -286,8 +282,8 @@ class ArrowSubstitution:
             raise ValueError(f"arrow {self.source}->{self.target} needs "
                              f"{self.target} terms, got {len(self.terms)}")
         for t in self.terms:
-            if max_var(t) > self.source:
-                raise ArityMismatchError(print_term(t), self.source, max_var(t), "arrow term")
+            if t.max_var > self.source:
+                raise ArityMismatchError(print_term(t), self.source, t.max_var, "arrow term")
 
     @classmethod
     def identity(cls, n: int) -> "ArrowSubstitution":
@@ -319,9 +315,9 @@ def is_var_injection(terms: Sequence[Term]) -> bool:
 
 def arrow_apply(f: ArrowSubstitution, a: Atom) -> Atom:
     """Substitute the i-th arrow component for x_i throughout the atom."""
-    if max_var(a) > f.target:
-        raise ArityMismatchError(a.pred, f.target, max_var(a), "goal for arrow")
-    return rename_atom(a, f.rename_var)
+    if a.max_var > f.target:
+        raise ArityMismatchError(a.name, f.target, a.max_var, "goal for arrow")
+    return rename(a, f.rename_var)
 
 
 def compose_arrows(f: ArrowSubstitution, g: ArrowSubstitution) -> ArrowSubstitution:

@@ -3,6 +3,8 @@
 Variables are canonical integer indices internally (printed X1, X2, ...).
 Surface names from source text survive only as display metadata; they never
 take part in equality. Constants are nullary functors, not a separate case.
+An atom is an `Fn` node of its own type, `Atom`, whose `name` is its
+predicate, so one printer and one set of walkers serve terms and atoms.
 
 The external format is Prolog-like, one clause per line or wrapped:
 
@@ -108,7 +110,7 @@ class Fn(_Node):
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
-        if type(other) is not Fn:
+        if type(other) is not type(self):
             return NotImplemented
         return (self._hash == other._hash and self.name == other.name
                 and (self.args is other.args or _same_args(self.args, other.args)))
@@ -117,40 +119,17 @@ class Fn(_Node):
         return self._hash
 
     def __repr__(self) -> str:
-        return f"Fn(name={self.name!r}, args={self.args!r})"
+        return f"{type(self).__name__}(name={self.name!r}, args={self.args!r})"
 
 
 Term = Union[Var, Fn]
 
 
-class Atom(_Node):
-    """Predicate applied to terms; goals and clause heads are atoms."""
+class Atom(Fn):
+    """Predicate applied to terms; goals and clause heads are atoms. The
+    predicate is the node's `name`; an atom is never equal to a term."""
 
-    __slots__ = ("pred", "args")
-
-    def __init__(self, pred: str, args: tuple[Term, ...] = ()) -> None:
-        top = 0
-        for a in args:
-            if a.max_var > top:
-                top = a.max_var
-        _init_slot(self, "pred", pred)
-        _init_slot(self, "args", args)
-        _init_slot(self, "max_var", top)
-        _init_slot(self, "_hash", hash((pred, args)))
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if type(other) is not Atom:
-            return NotImplemented
-        return (self._hash == other._hash and self.pred == other.pred
-                and (self.args is other.args or _same_args(self.args, other.args)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"Atom(pred={self.pred!r}, args={self.args!r})"
+    __slots__ = ()
 
 
 def _same_args(xs: tuple[Term, ...], ys: tuple[Term, ...]) -> bool:
@@ -232,15 +211,11 @@ def rename(t: Term | Atom, var_fn: Callable[[Var], Term] | None = None,
             if all(map(is_, args, node.args)):
                 new = node
             else:
-                new = Fn(node.name, args) if type(node) is Fn else Atom(node.pred, args)
+                new = type(node)(node.name, args)
             if not stack:
                 return new
             node, noff, it, out = stack.pop()
             out.append(new)
-
-
-# An atom is rebuilt by the same walk; the name says what the caller passes.
-rename_atom = rename
 
 
 def lookup(table: Mapping[int, Term]) -> Callable[[Var], Term]:
@@ -274,17 +249,6 @@ def term_vars(t: Term | Atom) -> Iterator[int]:
             todo.extend(reversed(x.args))
 
 
-# An atom's variables come from the same walk.
-atom_vars = term_vars
-
-
-def max_var(x: Term | Atom | Iterable[Atom]) -> int:
-    """Largest variable index occurring in x, or 0 if x is ground."""
-    if isinstance(x, _Node):
-        return x.max_var
-    return max((a.max_var for a in x), default=0)
-
-
 # ---------------------------------------------------------------------------
 # Clauses and programs
 # ---------------------------------------------------------------------------
@@ -304,13 +268,13 @@ class Clause:
 
     @cached_property
     def head_var_count(self) -> int:
-        return len(set(atom_vars(self.head)))
+        return len(set(term_vars(self.head)))
 
     @cached_property
     def var_count(self) -> int:
-        seen = set(atom_vars(self.head))
+        seen = set(term_vars(self.head))
         for a in self.body:
-            seen.update(atom_vars(a))
+            seen.update(term_vars(a))
         return len(seen)
 
     @property
@@ -323,8 +287,8 @@ def canonical_clause(head: Atom, body: Iterable[Atom],
     """Renumber variables into canonical order (head first, then body)."""
     order: dict[int, Var] = {}
     var_fn = renumbering(0, order)
-    head = rename_atom(head, var_fn)
-    body = tuple(rename_atom(a, var_fn) for a in body)
+    head = rename(head, var_fn)
+    body = tuple(rename(a, var_fn) for a in body)
     var_names = None if names is None else tuple(names[old] for old in order)
     return Clause(head, body, var_names)
 
@@ -364,7 +328,7 @@ def _note(table: dict[str, int], name: str, arity: int, role: str) -> None:
 def _note_atom(a: Atom, functors: dict[str, int], predicates: dict[str, int]) -> None:
     """Record the arities `a` uses, its functors in pre-order; raise
     ArityMismatchError on a clash. The walk keeps its own stack."""
-    _note(predicates, a.pred, len(a.args), "predicate")
+    _note(predicates, a.name, len(a.args), "predicate")
     todo = list(reversed(a.args))
     while todo:
         t = todo.pop()
@@ -418,7 +382,7 @@ class Program:
         """First-argument clause index, built in one pass over the clauses."""
         building: dict[str, tuple[list[int], dict[tuple[str, int], list[int]], list[int]]] = {}
         for i, c in enumerate(self.clauses):
-            every, by_functor, var_first = building.setdefault(c.head.pred, ([], {}, []))
+            every, by_functor, var_first = building.setdefault(c.head.name, ([], {}, []))
             every.append(i)
             first = c.head.args[0] if c.head.args else None
             if isinstance(first, Fn):
@@ -676,16 +640,10 @@ def print_term(t: Term, name: Callable[[int], str] = var_name) -> str:
     return "".join(out)
 
 
-def print_atom(a: Atom) -> str:
-    if not a.args:
-        return a.pred
-    return f"{a.pred}({', '.join(print_term(t) for t in a.args)})"
-
-
 def print_clause(c: Clause) -> str:
     if not c.body:
-        return f"{print_atom(c.head)}."
-    return f"{print_atom(c.head)} :- {', '.join(print_atom(a) for a in c.body)}."
+        return f"{print_term(c.head)}."
+    return f"{print_term(c.head)} :- {', '.join(print_term(a) for a in c.body)}."
 
 
 def print_program(p: Program) -> str:

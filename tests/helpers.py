@@ -33,10 +33,7 @@ from matchlog import (
     parse_program,
 )
 from matchlog.syntax import (
-    atom_vars,
     canonical_clause,
-    max_var,
-    print_atom,
     print_term,
     term_vars,
     var_name,
@@ -113,7 +110,7 @@ def random_fo_program(rng: random.Random, existential: bool) -> Program:
             return Fn(UNARY, (inner,))
 
         head = Atom(pred, tuple(head_term() for _ in range(arity)))
-        head_var_pool = sorted(set(atom_vars(head)))
+        head_var_pool = sorted(set(term_vars(head)))
 
         def body_term() -> Term:
             if head_var_pool and rng.random() < 0.7:
@@ -126,7 +123,7 @@ def random_fo_program(rng: random.Random, existential: bool) -> Program:
             body.append(Atom(bp, tuple(body_term() for _ in range(ba))))
         if ci == existential_at:
             bp, ba = rng.choice(preds)
-            args = [Var(max_var(head) + 1)] + [body_term() for _ in range(ba - 1)]
+            args = [Var(head.max_var + 1)] + [body_term() for _ in range(ba - 1)]
             body.append(Atom(bp, tuple(args)))
         clauses.append(canonical_clause(head, body))
     program = Program.of(clauses)
@@ -172,11 +169,11 @@ def atom_subterms(a: Atom) -> set[Term]:
     return out
 
 
-def max_var_oracle(x: Term | Atom) -> int:
+def highest_var_oracle(x: Term | Atom) -> int:
     """Largest variable index in a term or atom, by a full recursive walk."""
     if isinstance(x, Var):
         return x.index
-    return max((max_var_oracle(a) for a in x.args), default=0)
+    return max((highest_var_oracle(a) for a in x.args), default=0)
 
 
 def rebuilt(x: Term | Atom) -> Term | Atom:
@@ -184,7 +181,7 @@ def rebuilt(x: Term | Atom) -> Term | Atom:
     if isinstance(x, Var):
         return Var(x.index)
     args = tuple(rebuilt(a) for a in x.args)
-    return Atom(x.pred, args) if isinstance(x, Atom) else Fn(x.name, args)
+    return type(x)(x.name, args)
 
 
 def rename_oracle(x: Term | Atom, var_fn=None, store=None) -> Term | Atom:
@@ -196,7 +193,7 @@ def rename_oracle(x: Term | Atom, var_fn=None, store=None) -> Term | Atom:
             return rename_oracle(store[x.index], var_fn, store)
         return x if var_fn is None else var_fn(x)
     args = tuple(rename_oracle(a, var_fn, store) for a in x.args)
-    return Atom(x.pred, args) if isinstance(x, Atom) else Fn(x.name, args)
+    return type(x)(x.name, args)
 
 
 def random_store(rng: random.Random, nvars: int,
@@ -229,7 +226,7 @@ def print_term_oracle(t: Term, name=lambda i: f"X{i}") -> str:
 def enumerate_matchers(pattern: Atom, target: Atom) -> list[Substitution]:
     """All substitutions on vars(pattern) into subterms of the target that
     send the pattern exactly onto the target."""
-    pvars = sorted(set(atom_vars(pattern)))
+    pvars = sorted(set(term_vars(pattern)))
     pool = sorted(atom_subterms(target), key=print_term) or [Fn("a")]
     found = []
     for combo in itertools.product(pool, repeat=len(pvars)):
@@ -249,7 +246,7 @@ def ground_term_pool(depth: int) -> list[Term]:
 
 
 def enumerate_unifiers(a: Atom, b: Atom, pool: list[Term]) -> list[Substitution]:
-    avars = sorted(set(atom_vars(a)) | set(atom_vars(b)))
+    avars = sorted(set(term_vars(a)) | set(term_vars(b)))
     found = []
     for combo in itertools.product(pool, repeat=len(avars)):
         s = Substitution(dict(zip(avars, combo)))
@@ -275,7 +272,7 @@ def brute_lax_sweep(program: Program, atom_bases=None, max_arity: int = 3,
     squares = classes = strict_ok = 0
     lax_failures, equality_failures, injection_failures = [], [], []
     for atom, m in atom_bases:
-        used = sorted(set(atom_vars(atom)))
+        used = sorted(set(term_vars(atom)))
         for n in range(max_arity + 1):
             pool = coalgebra.enumerate_terms(program.signature, n, term_depth)
             verdicts = {}
@@ -307,7 +304,7 @@ def eager_sld(program: Program, goals: tuple[Atom, ...], max_steps: int,
     whole resolvent and to the query's images, the answer being those images
     with residual variables renumbered by first occurrence. Depth-first, or
     iterative deepening with the step budget doubling up to `max_steps`."""
-    n0 = max_var(goals)
+    n0 = max((g.max_var for g in goals), default=0)
     answers: list[tuple] = []
     seen: set[Substitution] = set()
 
@@ -387,7 +384,7 @@ def json_oracle(t) -> str:
     """The JSON rendering of a tree or proof, by a recursive walk and
     `json.dumps`."""
     def obj(node) -> dict:
-        out: dict = {"kind": "and", "atom": print_atom(node.atom),
+        out: dict = {"kind": "and", "atom": print_term(node.atom),
                      "truncated": node.truncated}
         if node is t.root:
             out["base"] = t.base
@@ -452,7 +449,7 @@ def check_mgm_case(rng: random.Random) -> None:
         target = apply(sigma, pattern)
     else:
         target = random_atom(rng, 2, depth=2,
-                             preds=((pattern.pred, len(pattern.args)),))
+                             preds=((pattern.name, len(pattern.args)),))
     result = mgm(pattern, target)
     oracle = enumerate_matchers(pattern, target)
     assert len(oracle) <= 1, "matching must be decisive"
@@ -460,14 +457,14 @@ def check_mgm_case(rng: random.Random) -> None:
         assert not oracle
     else:
         assert apply(result, pattern) == target
-        assert result.domain() <= set(atom_vars(pattern))
+        assert result.domain() <= set(term_vars(pattern))
         assert oracle == [result]
 
 
 def check_mgu_case(rng: random.Random, enumerate_pool: list[Term] | None = None) -> None:
     nvars = rng.randint(1, 3)
     a = random_atom(rng, nvars, depth=2)
-    b = random_atom(rng, nvars, depth=2, preds=((a.pred, len(a.args)),))
+    b = random_atom(rng, nvars, depth=2, preds=((a.name, len(a.args)),))
     sigma = mgu(a, b)
     if sigma is not None:
         assert apply(sigma, a) == apply(sigma, b)

@@ -32,6 +32,16 @@ def test_prove_exit_codes(capsys):
     assert code == 2 and out.strip() == "Unknown"
 
 
+def test_prove_prints_the_success_subtree_of_the_tree(capsys, tmp_path):
+    path = tmp_path / "four.lp"
+    path.write_text("p :- a(Y), b.\nb :- c(Z).\na(X).\nc(X).\n", encoding="utf-8")
+    code, proved, _ = run(capsys, "prove", path, "p", "--depth", "4")
+    assert code == 0 and proved.startswith("Proved\n")
+    _, tree, _ = run(capsys, "tree", path, "p", "--depth", "4")
+    assert proved.removeprefix("Proved\n") == tree
+    assert "c(X2)" in tree
+
+
 def test_solve_surface_names(capsys):
     code, out, _ = run(capsys, "solve", PROGRAMS / "gc.lp", "connected(X,Y)",
                        "--max-answers", "1")
@@ -148,12 +158,12 @@ def test_check_writes_nothing_when_it_fails_midway(capsys, monkeypatch):
     # A step that loses every body of an atom whose first argument mentions
     # X1 breaks injective squares, so the inj sweep has witnesses too. The
     # second witness line fails, after the summary and the first witness.
-    real_step, real_line = coalgebra.pff_step, coalgebra.LaxSquare.line
+    real_step, real_line = coalgebra.pff_step_unchecked, coalgebra.LaxSquare.line
 
     def lossy_step(program, atom, base):
         element = real_step(program, atom, base)
         return PffElement.canonical(base, []) if 1 in term_vars(atom.args[0]) else element
-    monkeypatch.setattr(coalgebra, "pff_step", lossy_step)
+    monkeypatch.setattr(coalgebra, "pff_step_unchecked", lossy_step)
     for what in ("lax", "inj"):
         monkeypatch.setattr(coalgebra.LaxSquare, "line", failing_call(real_line, 2))
         code, out, err = run(capsys, "check", PROGRAMS / "gc.lp", "--what", what)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from functools import lru_cache, partial
 
 import pytest
@@ -16,6 +17,7 @@ from matchlog import (
     Atom,
     Fn,
     PffElement,
+    Program,
     Substitution,
     Var,
     apply,
@@ -35,13 +37,13 @@ from matchlog import (
     pff_map,
     pff_step,
     pp_leq,
-    print_atom,
+    print_term,
     project_approximant,
     rebase,
     unfold,
 )
 
-from matchlog.syntax import atom_vars, term_vars
+from matchlog.syntax import term_vars
 
 from helpers import brute_lax_sweep, lfp_entailed, random_fo_program, random_ground_program
 
@@ -105,6 +107,19 @@ def test_unfold_values(ex33):
 def test_unfold_unknown_atom(ex33):
     with pytest.raises(ValueError):
         unfold(ground_coalgebra(ex33), Atom("zz"), 1)
+
+
+def test_approximants_and_unfoldings_reject_bad_levels(ex33):
+    with pytest.raises(ValueError, match="branches must be present exactly when level > 0"):
+        Approximant(0, A, frozenset())
+    with pytest.raises(ValueError, match="branches must be present exactly when level > 0"):
+        Approximant(1, A)
+    with pytest.raises(ValueError, match="branch levels must be one below the node level"):
+        Approximant(2, A, frozenset({frozenset({Approximant(0, B)})}))
+    with pytest.raises(ValueError, match="level must be >= 0"):
+        unfold(ground_coalgebra(ex33), A, -1)
+    with pytest.raises(ValueError, match="cannot project a level-0 approximant"):
+        project_approximant(Approximant(0, A))
 
 
 def _criterion_3_coalgebras(ex33):
@@ -213,6 +228,16 @@ def test_pff_map_examples(gc):
     })}))
 
 
+def test_pff_map_and_pff_leq_reject_a_base_mismatch(gc):
+    conn, _ = parse_atom("connected(X, Y)")
+    e = pff_step(gc, conn, 2)
+    with pytest.raises(ArityMismatchError,
+                       match="arrow target 'element base' used with arity 1 and arity 2"):
+        pff_map(ArrowSubstitution.identity(1), e)
+    with pytest.raises(ValueError, match="cannot compare elements over different bases"):
+        pff_leq(e, pff_step(gc, conn, 3))
+
+
 def test_pp_leq():
     s = frozenset
     nat0 = parse_atom("nat(0)")[0]
@@ -265,7 +290,7 @@ def test_pff_canonical_idempotent_and_renaming_invariant():
             return Fn(t.name, tuple(rn(x) for x in t.args))
 
         shuffled = [
-            frozenset(Atom(a.pred, tuple(rn(t) for t in a.args)) for a in sset)
+            frozenset(Atom(a.name, tuple(rn(t) for t in a.args)) for a in sset)
             for sset in sets
         ]
         assert PffElement.canonical(base, shuffled) == e
@@ -366,16 +391,16 @@ def test_lax_sweep_matches_oracle_on_injection_failures(listnat, gc, monkeypatch
     # or x2 breaks injective squares. connected(x3, x1) at base 3 has a free
     # position between its used ones, so the failing injections of its
     # classes (x3, x1) and (x3, x2) interleave in product order.
-    real_step = coalgebra.pff_step
+    real_step = coalgebra.pff_step_unchecked
 
     def lossy_step(program, atom, base):
         element = real_step(program, atom, base)
         if not {1, 2} & set(term_vars(atom.args[0])) or not element.body:
             return element
-        bodies = sorted(element.body, key=lambda s: sorted(print_atom(a) for a in s))
+        bodies = sorted(element.body, key=lambda s: sorted(print_term(a) for a in s))
         return PffElement.canonical(base, bodies[1:])
 
-    monkeypatch.setattr(coalgebra, "pff_step", lossy_step)
+    monkeypatch.setattr(coalgebra, "pff_step_unchecked", lossy_step)
     x1, x3 = Var(1), Var(3)
     for program, extra in [
         (listnat, [Atom("list", (Fn("cons", (x3, x1)),))]),
@@ -395,7 +420,7 @@ def _classes_and_atoms(program, max_arity):
     pools = [enumerate_terms(program.signature, n, 2) for n in range(max_arity + 1)]
     pairs, atoms = set(), set()
     for atom, m in default_check_atoms(program, max_arity):
-        used = sorted(set(atom_vars(atom)))
+        used = sorted(set(term_vars(atom)))
         atoms.add(atom)
         for pool in pools:
             if m and not pool:
@@ -408,7 +433,7 @@ def _classes_and_atoms(program, max_arity):
 
 def test_lax_sweep_checks_one_square_per_class(listnat, monkeypatch):
     squares, steps = [], []
-    real_square, real_step = coalgebra.lax_square, coalgebra.pff_step
+    real_square, real_step = coalgebra.lax_square, coalgebra.pff_step_unchecked
 
     def counted_square(*args):
         squares.append(args)
@@ -419,7 +444,7 @@ def test_lax_sweep_checks_one_square_per_class(listnat, monkeypatch):
         return real_step(*args)
 
     monkeypatch.setattr(coalgebra, "lax_square", counted_square)
-    monkeypatch.setattr(coalgebra, "pff_step", counted_step)
+    monkeypatch.setattr(coalgebra, "pff_step_unchecked", counted_step)
     report = lax_sweep(listnat, max_arity=3, term_depth=2)
     pairs, atoms = _classes_and_atoms(listnat, 3)
     assert (report.classes_checked, report.squares_checked) == (2508, 123516)
@@ -433,6 +458,32 @@ def test_lax_sweep_rejects_an_atom_above_its_base(listnat):
         lax_sweep(listnat, [(atom, 1)], max_arity=2)
 
 
+def test_lax_sweep_raises_for_the_first_bad_atom_in_order(listnat):
+    good, _ = parse_atom("nat(X)")
+    above, _ = parse_atom("list(cons(X, Y))")
+    clash = Atom("nat", (Fn("s", (Var(1), Var(2))),))  # s/2 against s/1, and above base 1
+    clash_message = re.escape("functor 's' used with arity 1 and arity 2")
+    above_message = re.escape("goal 'list(cons(X1, X2))' used with arity 1 and arity 2")
+    for atom_bases, message in (([(good, 1), (clash, 1), (above, 1)], clash_message),
+                                ([(good, 1), (above, 1), (clash, 1)], above_message)):
+        with pytest.raises(ArityMismatchError, match=message):
+            lax_sweep(listnat, atom_bases, max_arity=1)
+
+
+def test_lax_sweep_checks_each_supplied_atom_once(listnat, gc, monkeypatch):
+    # Arrow images are stepped unchecked: the images of a checked atom under
+    # the signature's own terms cannot clash with it.
+    checked = []
+    real_check = Program.check_atom
+    monkeypatch.setattr(Program, "check_atom",
+                        lambda self, a: checked.append(a) or real_check(self, a))
+    for program in (listnat, gc):
+        atom_bases = default_check_atoms(program, 3)
+        checked.clear()
+        lax_sweep(program, atom_bases, max_arity=3, term_depth=2)
+        assert checked == [a for a, _ in atom_bases]
+
+
 def test_lax_verdict_is_the_order(listnat, listnat_plus, gc, bad, ex33):
     # lax_square decides equality first; every square of the bundled sweeps
     # at arity 2 must still carry pff_leq's verdict.
@@ -444,7 +495,7 @@ def test_lax_verdict_is_the_order(listnat, listnat_plus, gc, bad, ex33):
             for f in arrows:
                 if f.target == m:
                     sq = lax_square(step, f, atom)
-                    assert sq.lax_ok == pff_leq(sq.lhs, sq.rhs), (str(f), print_atom(atom))
+                    assert sq.lax_ok == pff_leq(sq.lhs, sq.rhs), (str(f), print_term(atom))
                     checked += 1
         assert checked
 
@@ -459,7 +510,7 @@ def test_rebase_equals_stepping_at_the_base(listnat, listnat_plus, gc, bad, ex33
         for atom in _classes_and_atoms(program, 3)[1]:
             e = pff_step(program, atom, atom.max_var)
             for n in range(atom.max_var, 4):
-                assert rebase(e, n) == pff_step(program, atom, n), (print_atom(atom), n)
+                assert rebase(e, n) == pff_step(program, atom, n), (print_term(atom), n)
                 moved += bool(e.fresh) and n > atom.max_var
     assert moved
 

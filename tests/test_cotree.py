@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
 from matchlog import (
     AndNode,
+    ArityMismatchError,
     ArrowSubstitution,
     Atom,
     CoTree,
@@ -29,7 +31,6 @@ from matchlog import (
     tree_leq,
     truncate_tree,
 )
-from matchlog.syntax import max_var
 
 from matchlog import cotree
 
@@ -132,8 +133,8 @@ def test_comparisons_visit_each_node_pair_once(listnat_plus, monkeypatch):
     t = build_tree(listnat_plus, goal, n, 18)
     assert len(_and_nodes(t)) == 33
     calls = []
-    rename_atom = cotree.rename_atom
-    monkeypatch.setattr(cotree, "rename_atom", lambda *a: calls.append(1) or rename_atom(*a))
+    rename = cotree.rename
+    monkeypatch.setattr(cotree, "rename", lambda *a: calls.append(1) or rename(*a))
     assert tree_equal_upto_renaming(t, t)
     assert len(calls) == 2 * 33
     assert tree_leq(t, t)
@@ -225,7 +226,7 @@ def test_or_children_match_per_node_rescan(listnat_plus, gc):
     ):
         g, n = parse_atom(text, program.signature)
         t = build_tree(program, g, n, depth)
-        walk(program, t.root, max(n, max_var(g)), n)
+        walk(program, t.root, max(n, g.max_var), n)
 
 
 def test_finite_branching(listnat_plus, gc):
@@ -280,6 +281,37 @@ def test_tree_leq_examples(gc):
         assert tree_leq(mapped, mapped) and tree_leq(built, built)
 
 
+def test_trees_reject_bad_depths_and_goals(gc):
+    goal, n = _goal("connected(X, Y)")
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        build_tree(gc, goal, n, -1)
+    with pytest.raises(ArityMismatchError,
+                       match=re.escape("goal 'connected(X1, X2)' used with arity 1 and arity 2")):
+        build_tree(gc, goal, 1, 2)
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        truncate_tree(build_tree(gc, goal, n, 2), -1)
+
+
+def test_tree_comparisons_fail_on_each_mismatch(gc):
+    goal, n = _goal("connected(X, Y)")
+    t = build_tree(gc, goal, n, 2)
+    (orn,) = t.root.children
+    atom = t.root.atom
+    mismatches = {
+        "base": CoTree(t.root, n + 1),
+        "root atom": build_tree(gc, Atom("connected", (Var(2), Var(1))), n, 2),
+        "truncation": truncate_tree(t, 1),
+        "or-children": CoTree(AndNode(atom), n),
+        "clause index": CoTree(AndNode(atom, (OrNode(0, orn.matcher, orn.children),)), n),
+        "body length": CoTree(AndNode(atom, (OrNode(1, orn.matcher, orn.children[:1]),)), n),
+    }
+    assert tree_equal_upto_renaming(t, t) and tree_leq(t, t)
+    for what, other in mismatches.items():
+        assert not tree_leq(t, other), what
+        assert not tree_equal_upto_renaming(t, other), what
+        assert not tree_equal_upto_renaming(other, t), what
+
+
 def test_tree_leq_transitive_instance(gc):
     g2, _ = _goal("connected(X, Y)")
     merge = ArrowSubstitution(1, 2, (Var(1), Var(1)))
@@ -315,7 +347,7 @@ def test_tree_level_lax_squares(listnat_plus, gc, bad):
         goals = [Atom(p, tuple(Var(i + 1) for i in range(r))) for p, r in preds.items()]
         for f in arrows:
             for g in goals:
-                if max_var(g) > f.target:
+                if g.max_var > f.target:
                     continue
                 lhs = map_tree(f, build_tree(program, g, f.target, 3))
                 rhs = build_tree(program, arrow_apply(f, g), f.source, 3)
@@ -335,7 +367,7 @@ def test_tree_equal_upto_renaming(gc):
             return Fn(term.name, tuple(sh(a) for a in term.args))
 
         return AndNode(
-            Atom(node.atom.pred, tuple(sh(t) for t in node.atom.args)),
+            Atom(node.atom.name, tuple(sh(t) for t in node.atom.args)),
             tuple(OrNode(o.clause_index, o.matcher, tuple(remap(c, image) for c in o.children))
                   for o in node.children),
             node.truncated,

@@ -7,8 +7,9 @@ import tracemalloc
 
 import pytest
 
-from matchlog import engine_sld, engine_tm
+from matchlog import cotree, engine_sld, engine_tm
 from matchlog import (
+    Answer,
     Atom,
     Fn,
     SldLimits,
@@ -76,6 +77,17 @@ def test_answers_replay(listnat_plus, gc):
             assert replay_trace(program, [g], ans) == ans.bindings
 
 
+def test_replay_trace_rejects_a_trace_that_does_not_derive_the_goal(listnat):
+    goal, _ = parse_atom("nat(0)")
+    (ans,) = sld_solve(listnat, [goal]).answers
+    assert ans.trace == ((0, 0),)
+    for trace, message in ((((0, 0), (0, 0)), "trace continues past an empty goal"),
+                           (((2, 0),), "trace step does not unify: clause 2"),
+                           ((), "trace ends on a non-empty goal")):
+        with pytest.raises(ValueError, match=message):
+            replay_trace(listnat, [goal], Answer(ans.bindings, len(trace), trace))
+
+
 def test_duplicate_answers_collapse(listnat_plus):
     # two distinct derivations of the same ground goal yield one empty answer
     g, _ = parse_atom("list(cons(0, nil))")
@@ -106,7 +118,7 @@ def test_strategies_find_same_answer_set(listnat, listnat_plus, gc):
 
 def test_renaming_hygiene(listnat_plus):
     from matchlog import apply, mgu, rename_apart
-    from matchlog.syntax import atom_vars
+    from matchlog.syntax import term_vars
 
     g, n = parse_atom("list(cons(X, Y))")
     result = sld_solve(listnat_plus, [g], SldLimits(max_answers=3, max_steps=200))
@@ -119,8 +131,8 @@ def test_renaming_hygiene(listnat_plus):
         resolvent = (g,)
         for idx, offset in ans.trace:
             renamed = rename_apart(listnat_plus.clauses[idx], offset)
-            live = {v for a in resolvent for v in atom_vars(a)}
-            fresh = {v for a in (renamed.head,) + renamed.body for v in atom_vars(a)}
+            live = {v for a in resolvent for v in term_vars(a)}
+            fresh = {v for a in (renamed.head,) + renamed.body for v in term_vars(a)}
             assert not live & fresh
             unifier = mgu(resolvent[0], renamed.head)
             resolvent = apply(unifier, renamed.body + resolvent[1:])
@@ -171,7 +183,8 @@ def test_bridge_never_fails_on_random_programs():
 
 def test_bridge_runs_the_search_without_proof_extraction(listnat, monkeypatch):
     # Extracting a proof re-matches every proof node; the bridge reads only
-    # the verdict, so it makes fewer clause-instance steps than tm_prove.
+    # the verdict, so it makes fewer clause-instance steps than tm_prove. The
+    # search steps in engine_tm, the extraction through cotree.or_children.
     calls = [0]
     real_instances = engine_tm.instances
 
@@ -180,6 +193,7 @@ def test_bridge_runs_the_search_without_proof_extraction(listnat, monkeypatch):
         return real_instances(*args)
 
     monkeypatch.setattr(engine_tm, "instances", counted)
+    monkeypatch.setattr(cotree, "instances", counted)
     g, _ = parse_atom("list(X)")
     report = check_bridge(listnat, g, SldLimits(max_answers=12))
     bridge_calls, calls[0] = calls[0], 0
@@ -337,4 +351,4 @@ def _first_argument_constants(program):
     for g in program.signature.generic_atoms:
         if g.args:
             for c in program.signature.constants:
-                yield Atom(g.pred, (Fn(c),) + g.args[1:])
+                yield Atom(g.name, (Fn(c),) + g.args[1:])

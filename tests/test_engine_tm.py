@@ -11,6 +11,7 @@ from matchlog import (
     Atom,
     Fn,
     Status,
+    Var,
     arrow_apply,
     build_tree,
     parse_atom,
@@ -21,7 +22,7 @@ from matchlog import (
 )
 from matchlog.coalgebra import enumerate_terms, ground_lfp
 
-from helpers import lfp_entailed, random_fo_program, random_ground_program
+from helpers import lfp_entailed, random_fo_program, random_ground_program, same_tree
 
 
 def test_listnat_ground_proof(listnat):
@@ -90,6 +91,29 @@ def test_agreement_with_tree_search(listnat, listnat_plus, gc, bad):
             for depth in range(1, 7):
                 via_tree = success_subtree(build_tree(program, g, n, depth)).status
                 assert tm_prove(program, g, depth).status is via_tree, (text, depth)
+
+
+def test_proof_is_the_trees_success_subtree():
+    # The prover extracts its proof with build_tree's step, so the proof is
+    # the tree's success subtree node for node, fresh variables included: in
+    # p's proof, c's fresh variable is X2, one above a's X1 on the path.
+    program = parse_program("p :- a(Y), b.\nb :- c(Z).\na(X).\nc(X).")
+    goal, _ = parse_atom("p")
+    proof = tm_prove(program, goal, 4).proof
+    assert same_tree(proof, success_subtree(build_tree(program, goal, 0, 4)).proof)
+    c_node = proof.root.children[0].children[1].children[0].children[0]
+    assert c_node.atom == Atom("c", (Var(2),))
+    rng, proved = random.Random(1), 0
+    for _ in range(300):
+        program = random_fo_program(rng, True)
+        for g in program.signature.generic_atoms:
+            for depth in range(1, 6):
+                result = tm_prove(program, g, depth)
+                if result.is_proved:
+                    proved += 1
+                    tree = build_tree(program, g, g.max_var, depth)
+                    assert same_tree(result.proof, success_subtree(tree).proof), (g, depth)
+    assert proved == 258
 
 
 def test_proofs_survive_ground_instantiation():
@@ -189,8 +213,8 @@ def test_status_is_the_status_of_tm_prove(listnat, listnat_plus, gc, bad, ex33):
 
 def test_proof_steps_build_no_terms(listnat, monkeypatch):
     """Memo keys of atoms over the goal's variables are the atoms themselves,
-    and matching reuses the goal's subterms, so the number of `Fn`
-    constructions does not grow with the goal."""
+    and matching reuses the goal's subterms, so the number of terms built
+    (`Fn` constructions that are not atoms) does not grow with the goal."""
     counts = {}
     for n in (50, 200):
         goal = Fn("0")
@@ -201,7 +225,7 @@ def test_proof_steps_build_no_terms(listnat, monkeypatch):
         init = Fn.__init__
 
         def counting_init(self, *args, **kwargs):
-            built[0] += 1
+            built[0] += type(self) is Fn
             init(self, *args, **kwargs)
 
         with monkeypatch.context() as patch:

@@ -17,6 +17,7 @@ from matchlog import (
     apply,
     arrow_apply,
     compose,
+    compose_arrows,
     mgm,
     mgu,
     parse_atom,
@@ -136,7 +137,7 @@ def test_unify_binds_the_mgu_of_the_resolved_atoms_into_the_store():
         before = dict(store)
         plain = flat_store(store)
         a = random_atom(rng, 6)
-        b = random_atom(rng, 6, preds=((a.pred, len(a.args)),))
+        b = random_atom(rng, 6, preds=((a.name, len(a.args)),))
         a_off, b_off = rng.randint(0, 4), rng.randint(0, 4)
         shifted_a = rename_apart(Clause(a), a_off).head
         shifted_b = rename_apart(Clause(b), b_off).head
@@ -204,6 +205,9 @@ def test_arrow_validation():
         ArrowSubstitution(1, 1, (Var(2),))
     with pytest.raises(ArityMismatchError):
         arrow_apply(ArrowSubstitution(0, 1, (Fn("0"),)), parse_atom("p(X, Y)")[0])
+    with pytest.raises(ArityMismatchError,
+                       match="arrow 'arrow composition' used with arity 1 and arity 2"):
+        compose_arrows(ArrowSubstitution.identity(1), ArrowSubstitution.identity(2))
 
 
 def test_arrow_injection_flag():

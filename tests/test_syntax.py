@@ -20,26 +20,23 @@ from matchlog import (
     parse_atom,
     parse_goal,
     parse_program,
-    print_atom,
     print_program,
     print_term,
     rename,
     rename_apart,
 )
 from matchlog.syntax import (
-    atom_vars,
     canonical_clause,
-    max_var,
     parse_canonical_atom,
     parse_canonical_term,
-    rename_atom,
+    term_vars,
 )
 
 from helpers import (
     edge_program,
     flat_store,
     forest_edges,
-    max_var_oracle,
+    highest_var_oracle,
     print_term_oracle,
     random_atom,
     random_fo_program,
@@ -90,6 +87,9 @@ def test_parse_goal_conjunction():
     assert len(goal.atoms) == 2
     assert goal.var_count == 3
     assert goal.var_names == ("X", "Z", "Y")
+    with pytest.raises(ValueError, match="expected a single-atom goal"):
+        goal.atom
+    assert parse_goal("edge(X, Z), connected(Z, Y).") == goal
 
 
 def test_zero_arity_atoms_round_trip():
@@ -110,8 +110,8 @@ def test_classify_matches_variable_containment():
         p = random_fo_program(rng, existential=rng.random() < 0.5)
         expected = tuple(
             i for i, c in enumerate(p.clauses)
-            if not set().union(*[set(atom_vars(b)) for b in c.body] or [set()])
-                   <= set(atom_vars(c.head))
+            if not set().union(*[set(term_vars(b)) for b in c.body] or [set()])
+                   <= set(term_vars(c.head))
         )
         assert classify_program(p).existential_clauses == expected
 
@@ -135,9 +135,9 @@ def test_canonical_numbering_idempotent(gc):
         assert (again.head, again.body) == (c.head, c.body)
 
 
-def test_print_atom_canonical_names():
+def test_print_term_prints_atoms_with_canonical_names():
     atom, _ = parse_atom("nat(s(FOO))")
-    assert print_atom(atom) == "nat(s(X1))"
+    assert print_term(atom) == "nat(s(X1))"
 
 
 def test_comments_whitespace_and_wrapping():
@@ -284,10 +284,10 @@ def test_candidates_cover_every_matching_and_unifying_clause(
         for _ in range(40):
             a = _random_signature_atom(rng, program, *rng.choice(preds))
             first = a.args[0] if a.args else None
-            got = program.candidates(a.pred, first)
+            got = program.candidates(a.name, first)
             assert all(i < j for i, j in zip(got, got[1:]))
-            assert all(program.clauses[i].head.pred == a.pred for i in got)
-            matching = program.candidates(a.pred, first, matching=True)
+            assert all(program.clauses[i].head.name == a.name for i in got)
+            matching = program.candidates(a.name, first, matching=True)
             assert all(i < j for i, j in zip(matching, matching[1:]))
             assert set(matching) <= set(got)
             if a.args and isinstance(a.args[0], Var):
@@ -295,9 +295,9 @@ def test_candidates_cover_every_matching_and_unifying_clause(
                                for i in matching)
             for i, clause in enumerate(program.clauses):
                 if mgm(clause.head, a) is not None:
-                    assert i in matching, (print_atom(a), i)
-                if mgu(a, rename_apart(clause, max_var(a)).head) is not None:
-                    assert i in got, (print_atom(a), i)
+                    assert i in matching, (print_term(a), i)
+                if mgu(a, rename_apart(clause, a.max_var).head) is not None:
+                    assert i in got, (print_term(a), i)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +315,7 @@ def _random_terms_and_atoms(seed, count=300):
 
 def test_cached_max_var_matches_a_recursive_oracle():
     for x in _random_terms_and_atoms(11):
-        assert x.max_var == max_var(x) == max_var_oracle(x), repr(x)
+        assert x.max_var == highest_var_oracle(x), repr(x)
     deep = Fn("0")
     for _ in range(5000):
         deep = Fn("s", (deep,))
@@ -337,7 +337,7 @@ def test_equal_terms_built_independently_are_equal_with_equal_hashes():
 
 def test_terms_are_immutable():
     for x in (Var(3), Fn("f", (Var(1), Fn("a"))), Atom("p", (Fn("a"),))):
-        for name in ("index", "name", "pred", "args", "max_var", "_hash", "other"):
+        for name in ("index", "name", "args", "max_var", "_hash", "other"):
             with pytest.raises(AttributeError):
                 setattr(x, name, None)
             with pytest.raises(AttributeError):
@@ -353,7 +353,7 @@ def test_ground_input_is_returned_unchanged():
         t = random_term(rng, 0, rng.randint(1, 5))
         a = random_atom(rng, 0, rng.randint(1, 4))
         assert rename(t, lambda v: Fn("b")) is t
-        assert rename_atom(a, lambda v: Fn("b")) is a
+        assert rename(a, lambda v: Fn("b")) is a
         assert apply(fail, t) is t and apply(fail, a) is a
         assert all(x is y for x, y in zip(apply(fail, (a, a)), (a, a)))
 
@@ -370,11 +370,11 @@ def test_rename_matches_a_recursive_oracle():
         store = random_store(rng, 6)
         t = random_term(rng, 6, rng.randint(1, 5))
         a = random_atom(rng, 6, rng.randint(1, 4))
-        for x, walk in ((t, rename), (a, rename_atom)):
-            assert walk(x) is x and walk(x, bound={}.get) is x
-            assert walk(x, _first_occurrence()) == rename_oracle(x, _first_occurrence())
-            assert walk(x, bound=store.get) == rename_oracle(x, store=flat_store(store))
-            assert (walk(x, _first_occurrence(), store.get)
+        for x in (t, a):
+            assert rename(x) is x and rename(x, bound={}.get) is x
+            assert rename(x, _first_occurrence()) == rename_oracle(x, _first_occurrence())
+            assert rename(x, bound=store.get) == rename_oracle(x, store=flat_store(store))
+            assert (rename(x, _first_occurrence(), store.get)
                     == rename_oracle(x, _first_occurrence(), flat_store(store)))
 
 
@@ -387,7 +387,7 @@ def test_rename_does_not_recurse_on_depth():
     assert rename(deep, bound={1: (Fn("0"), 0)}.get) == image
     # The same term as a binding at offset 1, so its x1 is key 2.
     assert rename(Var(1), bound={1: (deep, 1), 2: (Fn("0"), 0)}.get) == image
-    assert rename_atom(Atom("nat", (deep,)), lambda v: Fn("0")) == Atom("nat", (image,))
+    assert rename(Atom("nat", (deep,)), lambda v: Fn("0")) == Atom("nat", (image,))
 
 
 def test_print_term_matches_a_recursive_oracle():
@@ -395,8 +395,6 @@ def test_print_term_matches_a_recursive_oracle():
         return f"V{index}_"
 
     for x in _random_terms_and_atoms(14):
-        if isinstance(x, Atom):
-            continue
         assert print_term(x) == print_term_oracle(x), repr(x)
         assert print_term(x, custom) == print_term_oracle(x, custom), repr(x)
     deep = Var(1)
