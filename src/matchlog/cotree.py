@@ -23,6 +23,14 @@ item once: `build_tree` shares equal (atom, remaining depth, fresh ceiling)
 subtrees, and walks over a tree keep its sharing. Nodes compare by
 identity; `tree_leq` and `tree_equal_upto_renaming` compare structure,
 visiting each pair of nodes once.
+
+`render` prints each distinct atom once, children first, through one
+`print_term` memo that holds the text of every atom argument in the tree.
+Matching builds a body instance from subterms of its parent's atom, so a
+printed argument is reused wherever it recurs, and rendering costs time
+linear in the tree's distinct term nodes plus the bytes of its output. It
+returns ascii and dot as one piece per line and JSON as its writer's pieces,
+joined unless the caller writes them in turn (`render_chunks`).
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from .syntax import (
     Atom,
     Program,
     Signature,
+    Term,
     parse_canonical_atom,
     parse_canonical_term,
     print_term,
@@ -306,17 +315,29 @@ def tree_equal_upto_renaming(a: CoTree, b: CoTree) -> bool:
 # Rendering
 # ---------------------------------------------------------------------------
 
-def _ascii_text(root: AndNode) -> str:
+def _printer(root: AndNode) -> Callable[[AndNode | Term], str]:
+    """The text of an and-node's atom under `root`, or of any term, from one
+    `print_term` memo that wants every atom argument in the tree, so each
+    argument is walked once, whichever atom reaches it first. The atoms are
+    printed up front, children first, once per distinct and-node."""
+    nodes: list[AndNode] = []
+    fold(root, id, _ors, lambda node, ors: nodes.append(node))
+    texts = dict.fromkeys(a for node in nodes for a in node.atom.args)
+    atoms = {id(node): print_term(node.atom, texts=texts) for node in nodes}
+    return lambda x: atoms[id(x)] if type(x) is AndNode else print_term(x, texts=texts)
+
+
+def _ascii_lines(t: CoTree | ProofTree, text: Callable[[AndNode | Term], str]) -> list[str]:
     # Pre-order over an explicit stack of (and-node, prefix, connector)
     # entries and, as (None, line, None), ready or-node lines.
-    lines, stack = [], [(root, "", "")]
+    lines, stack = [], [(t.root, "", "")]
     while stack:
         node, prefix, connector = stack.pop()
         if node is None:
             lines.append(prefix)
             continue
         mark = " …" if node.truncated else ""
-        lines.append(f"{prefix}{connector}{print_term(node.atom)}{mark}")
+        lines.append(f"{prefix}{connector}{text(node)}{mark}\n")
         if connector:
             prefix += "   " if connector == "└─ " else "│  "
         branch = "└─ "  # the children are pushed last first
@@ -325,15 +346,15 @@ def _ascii_text(root: AndNode) -> str:
             for c in reversed(o.children):
                 stack.append((c, cont, kid))
                 kid = "├─ "
-            stack.append((None, f"{prefix}{branch}•[{o.clause_index}]", None))
+            stack.append((None, f"{prefix}{branch}•[{o.clause_index}]\n", None))
             branch = "├─ "
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def _dot_text(root: AndNode) -> str:
+def _dot_lines(t: CoTree | ProofTree, text: Callable[[AndNode | Term], str]) -> list[str]:
     # Pre-order over an explicit stack of (node, parent id) entries; the edge
     # into an and-node is pushed as (None, line), to follow its subtree.
-    lines, stack, count = ["digraph cotree {", "  rankdir=TB;"], [(root, None)], 0
+    lines, stack, count = ["digraph cotree {\n", "  rankdir=TB;\n"], [(t.root, None)], 0
     while stack:
         x, parent = stack.pop()
         if x is None:
@@ -341,30 +362,30 @@ def _dot_text(root: AndNode) -> str:
             continue
         nid, count = f"n{count}", count + 1
         if type(x) is OrNode:
-            lines += [f"  {nid} [shape=point];", f"  {parent} -> {nid};"]
+            lines += [f"  {nid} [shape=point];\n", f"  {parent} -> {nid};\n"]
         else:
             style = ", style=dashed" if x.truncated else ""
-            lines.append(f'  {nid} [shape=box, label="{print_term(x.atom)}"{style}];')
+            lines.append(f'  {nid} [shape=box, label="{text(x)}"{style}];\n')
             if parent is not None:
-                stack.append((None, f"  {parent} -> {nid};"))
+                stack.append((None, f"  {parent} -> {nid};\n"))
         for c in reversed(x.children):
             stack.append((c, nid))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines.append("}\n")
+    return lines
 
 
-def _json_pieces(root: AndNode, base: int) -> list[str]:
+def _json_pieces(t: CoTree | ProofTree, text: Callable[[AndNode | Term], str]) -> list[str]:
     # The pieces of `json.dumps(..., indent=2)` of the tree's objects, written
     # pre-order from an explicit stack of (value, indent) entries and, as
     # (text, None), ready text. An and-node becomes its object when reached.
-    out, stack = [], [(root, "")]
+    out, stack = [], [(t.root, "")]
     while stack:
         x, pad = stack.pop()
         if type(x) is AndNode:
-            x = {"kind": "and", "atom": print_term(x.atom), "truncated": x.truncated,
-                 **({"base": base} if x is root else {}),
+            x = {"kind": "and", "atom": text(x), "truncated": x.truncated,
+                 **({"base": t.base} if x is t.root else {}),
                  "children": [{"kind": "or", "clause": o.clause_index, "matcher": {
-                     var_name(j): print_term(v) for j, v in o.matcher.items()},
+                     var_name(j): text(v) for j, v in o.matcher.items()},
                      "children": o.children} for o in x.children]}
         if pad is None or type(x) not in (dict, tuple, list) or not x:
             out.append(x if pad is None else json.dumps(x))
@@ -380,24 +401,31 @@ def _json_pieces(root: AndNode, base: int) -> list[str]:
     return out
 
 
-def render(t: CoTree | ProofTree, fmt: str = "ascii") -> str:
-    """Deterministic rendering; `fmt` is one of ascii, dot, json."""
-    if fmt == "ascii":
-        return _ascii_text(t.root)
-    if fmt == "dot":
-        return _dot_text(t.root)
-    if fmt == "json":
-        return "".join(_json_pieces(t.root, t.base))
-    raise ValueError(f"unknown format {fmt!r}")
+_WRITERS: dict[str, Callable[..., list[str]]] = {
+    "ascii": _ascii_lines,
+    "dot": _dot_lines,
+    "json": _json_pieces,
+}
+
+
+def render(t: CoTree | ProofTree, fmt: str = "ascii", *, pieces: bool = False) -> str | list[str]:
+    """Deterministic rendering; `fmt` is one of ascii, dot, json. With
+    `pieces`, the eager list of pieces whose join the text is: one per line
+    in ascii and dot, the JSON writer's own pieces in json, so a caller that
+    writes them in turn never builds the whole text or its encoding. The
+    cost is linear in the tree's distinct term nodes plus the bytes written
+    (see the module docstring)."""
+    if fmt not in _WRITERS:
+        raise ValueError(f"unknown format {fmt!r}")
+    out = _WRITERS[fmt](t, _printer(t.root))
+    return out if pieces else "".join(out)
 
 
 def render_chunks(t: CoTree | ProofTree, fmt: str) -> list[str]:
-    """`render(t, fmt)` as a list of pieces whose join it is: JSON as its
-    writer's own pieces, so a caller that writes them in turn never builds
-    the whole text or its encoding; any other format as one piece."""
-    if fmt == "json":
-        return _json_pieces(t.root, t.base)
-    return [render(t, fmt)]
+    """`render(t, fmt)` as the list of pieces whose join it is. It goes
+    through `render`, so every rendering, whole or in pieces, is one call
+    of it (as `bench/run.py`'s traced `cotree.render` row counts them)."""
+    return render(t, fmt, pieces=True)
 
 
 def load_tree_json(text: str, signature: Signature | None = None) -> CoTree:

@@ -618,25 +618,47 @@ def var_name(index: int) -> str:
     return f"X{index}"
 
 
-def print_term(t: Term, name: Callable[[int], str] = var_name) -> str:
+def print_term(t: Term, name: Callable[[int], str] = var_name,
+               texts: dict[Term, str | None] | None = None) -> str:
     """Surface text of `t`, with `name(i)` for the variable of index i. The
-    walk keeps its own stack, so it does not recurse on term depth."""
+    walk keeps its own stack, so it does not recurse on term depth.
+
+    `texts`, if given, is a memo shared by calls with the same `name`: it
+    maps a compound term to its text, or to None while its text is wanted.
+    A node of `t` that keys a text is printed as that text without a walk,
+    and one that keys None has its text stored once it is printed. Callers
+    choose the wanted terms, so the memo holds only texts they print anyway;
+    a term whose subterms are already there costs a walk of the rest.
+    """
     out: list[str] = []
-    stack: list[Term | str] = [t]
+    stack: list[Term | str | tuple[Term, int]] = [t]
     while stack:
         x = stack.pop()
         if type(x) is str:
             out.append(x)
         elif type(x) is Var:
             out.append(name(x.index))
+        elif type(x) is tuple:  # (wanted term, start): its text ends here
+            key, start = x
+            text = texts[key] = "".join(out[start:])
+            out[start:] = [text]
         elif not x.args:
             out.append(x.name)
         else:
+            if texts is not None:
+                known = texts.get(x, "")
+                if known:
+                    out.append(known)
+                    continue
+                if known is None:
+                    stack.append((x, len(out)))
             out.append(x.name + "(")
+            args = x.args
             stack.append(")")
-            for a in reversed(x.args[1:]):
-                stack += (a, ", ")
-            stack.append(x.args[0])
+            if len(args) > 1:
+                for a in reversed(args[1:]):
+                    stack += (a, ", ")
+            stack.append(args[0])
     return "".join(out)
 
 

@@ -36,7 +36,6 @@ from matchlog.syntax import (
     canonical_clause,
     print_term,
     term_vars,
-    var_name,
 )
 
 
@@ -380,16 +379,60 @@ def same_tree(a, b) -> bool:
     return True
 
 
+def ascii_oracle(t) -> str:
+    """The ascii rendering of a tree or proof, by a recursive walk that
+    prints each atom with `print_term_oracle`."""
+    lines = []
+
+    def and_node(node, prefix: str, connector: str) -> None:
+        mark = " …" if node.truncated else ""
+        lines.append(f"{prefix}{connector}{print_term_oracle(node.atom)}{mark}")
+        below = prefix + {"": "", "└─ ": "   ", "├─ ": "│  "}[connector]
+        for i, o in enumerate(node.children):
+            last = i == len(node.children) - 1
+            lines.append(f"{below}{'└─ ' if last else '├─ '}•[{o.clause_index}]")
+            for j, c in enumerate(o.children):
+                and_node(c, below + ("   " if last else "│  "),
+                         "└─ " if j == len(o.children) - 1 else "├─ ")
+
+    and_node(t.root, "", "")
+    return "".join(line + "\n" for line in lines)
+
+
+def dot_oracle(t) -> str:
+    """The dot rendering of a tree or proof, by a recursive walk that
+    prints each atom with `print_term_oracle`. Nodes are numbered in
+    pre-order; the edge into an and-node follows its subtree."""
+    lines = ["digraph cotree {", "  rankdir=TB;"]
+    ids = itertools.count()
+
+    def and_node(node) -> str:
+        nid = f"n{next(ids)}"
+        style = ", style=dashed" if node.truncated else ""
+        lines.append(f'  {nid} [shape=box, label="{print_term_oracle(node.atom)}"{style}];')
+        for o in node.children:
+            oid = f"n{next(ids)}"
+            lines.extend([f"  {oid} [shape=point];", f"  {nid} -> {oid};"])
+            for c in o.children:
+                cid = and_node(c)
+                lines.append(f"  {oid} -> {cid};")
+        return nid
+
+    and_node(t.root)
+    lines.append("}")
+    return "".join(line + "\n" for line in lines)
+
+
 def json_oracle(t) -> str:
-    """The JSON rendering of a tree or proof, by a recursive walk and
-    `json.dumps`."""
+    """The JSON rendering of a tree or proof, by a recursive walk,
+    `print_term_oracle` and `json.dumps`."""
     def obj(node) -> dict:
-        out: dict = {"kind": "and", "atom": print_term(node.atom),
+        out: dict = {"kind": "and", "atom": print_term_oracle(node.atom),
                      "truncated": node.truncated}
         if node is t.root:
             out["base"] = t.base
         out["children"] = [{"kind": "or", "clause": o.clause_index,
-                            "matcher": {var_name(j): print_term(v) for j, v in o.matcher.items()},
+                            "matcher": {f"X{j}": print_term_oracle(v) for j, v in o.matcher.items()},
                             "children": [obj(c) for c in o.children]} for o in node.children]
         return out
 

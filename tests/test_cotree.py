@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 
 import pytest
 
@@ -27,6 +28,7 @@ from matchlog import (
     parse_atom,
     render,
     success_subtree,
+    tm_prove,
     tree_equal_upto_renaming,
     tree_leq,
     truncate_tree,
@@ -34,7 +36,14 @@ from matchlog import (
 
 from matchlog import cotree
 
-from helpers import expected_or_children, json_oracle, random_fo_program, same_tree
+from helpers import (
+    ascii_oracle,
+    dot_oracle,
+    expected_or_children,
+    json_oracle,
+    random_fo_program,
+    same_tree,
+)
 
 
 def _goal(text):
@@ -428,6 +437,104 @@ def test_json_writer_matches_recursive_encoder():
         proof = success_subtree(t).proof
         if proof is not None:
             assert render(proof, "json") == json_oracle(proof)
+
+
+RENDER_ORACLES = {"ascii": ascii_oracle, "dot": dot_oracle, "json": json_oracle}
+
+
+def _assert_renders_as_oracles(t):
+    for fmt, oracle in RENDER_ORACLES.items():
+        text = render(t, fmt)
+        assert text == oracle(t), fmt
+        assert "".join(cotree.render_chunks(t, fmt)) == text, fmt
+
+
+def _features(t) -> set[str]:
+    """Which of fresh variables, truncated nodes and shared subtrees occur."""
+    found, seen, stack = set(), set(), [t.root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            found.add("shared")
+            continue
+        seen.add(id(node))
+        if node.truncated:
+            found.add("truncated")
+        if node.atom.max_var > t.base:
+            found.add("fresh")
+        stack.extend(c for o in node.children for c in o.children)
+    return found
+
+
+def test_render_matches_recursive_oracles_on_random_trees_and_proofs():
+    rng = random.Random(61)
+    found, proofs = set(), 0
+    for i in range(120):
+        program = random_fo_program(rng, existential=True)
+        pred, arity = rng.choice(sorted(program.signature.predicate_arities.items()))
+        pool = [*(Var(j) for j in range(1, arity + 1)), Fn("a"), Fn("b"),
+                Fn("f", (Fn("a"),)), Fn("f", (Var(1),))]
+        goal = Atom(pred, tuple(rng.choice(pool) for _ in range(arity)))
+        t = build_tree(program, goal, arity, i % 5)
+        found |= _features(t)
+        _assert_renders_as_oracles(t)
+        proof = success_subtree(t).proof
+        if proof is not None:
+            proofs += 1
+            _assert_renders_as_oracles(proof)
+    assert found == {"fresh", "truncated", "shared"} and proofs >= 5, (found, proofs)
+
+
+def test_render_matches_recursive_oracles_on_bundled_programs(listnat, listnat_plus, gc,
+                                                              bad, ex33):
+    cases = [(listnat, "list(cons(0, cons(s(0), nil)))"), (listnat, "nat(s(s(0)))"),
+             (listnat, "list(cons(X, Y))"), (listnat_plus, "list(cons(0, cons(0, nil)))"),
+             (gc, "connected(X, Y)"), (bad, "bad(X)"), (ex33, "a"), (ex33, "d")]
+    for program, text in cases:
+        goal, n = parse_atom(text, program.signature)
+        for depth in range(5):
+            t = build_tree(program, goal, n, depth)
+            _assert_renders_as_oracles(t)
+            proof = success_subtree(t).proof
+            if proof is not None:
+                _assert_renders_as_oracles(proof)
+
+
+def test_rendering_chains_does_linear_work(listnat):
+    """Each atom of the proof of nat(s^n(0)) shares all but one node with
+    the next, and so does each atom of the tree of p(a) under
+    p(X) :- p(f(X)), where terms grow instead of shrink. Rendering either
+    takes work linear in n plus the bytes copied. Work is counted as calls
+    into C, not timed; printing every atom afresh made the count grow
+    fourfold per doubling of n."""
+    grow = parse_program("p(X) :- p(f(X)).")
+
+    def work(n: int, fmt: str, shrinking: bool) -> int:
+        if shrinking:
+            term = Fn("0")
+            for _ in range(n):
+                term = Fn("s", (term,))
+            t = tm_prove(listnat, Atom("nat", (term,)), n + 1).proof
+        else:
+            t = build_tree(grow, Atom("p", (Fn("a"),)), 0, n)
+        count = 0
+
+        def profile(frame, event, arg):
+            nonlocal count
+            count += event == "c_call"
+
+        sys.setprofile(profile)
+        try:
+            render(t, fmt)
+        finally:
+            sys.setprofile(None)
+        return count
+
+    for fmt in RENDER_ORACLES:
+        for shrinking in (True, False):
+            counts = [work(n, fmt, shrinking) for n in (100, 200, 400)]
+            for small, big in zip(counts, counts[1:]):
+                assert 1.8 < big / small < 2.2, (fmt, shrinking, counts)
 
 
 def test_proof_tree_rejects_open_and_branching_nodes(listnat_plus):

@@ -34,6 +34,7 @@ from matchlog.syntax import (
 
 from helpers import (
     edge_program,
+    subterms,
     flat_store,
     forest_edges,
     highest_var_oracle,
@@ -402,6 +403,27 @@ def test_print_term_matches_a_recursive_oracle():
         deep = Fn("s", (deep,))
     assert print_term(deep) == "s(" * 5000 + "X1" + ")" * 5000
     assert print_term(deep, custom) == "s(" * 5000 + "V1_" + ")" * 5000
+
+
+def test_print_term_memo_stores_wanted_texts_and_reuses_known_ones():
+    rng = random.Random(16)
+    for x in _random_terms_and_atoms(15):
+        compound = sorted((s for s in subterms(x) if type(s) is Fn and s.args), key=repr)
+        wanted = dict.fromkeys(rng.sample(compound, rng.randint(0, len(compound))))
+        assert print_term(x, texts=wanted) == print_term_oracle(x), repr(x)
+        assert wanted == {s: print_term_oracle(s) for s in wanted}, repr(x)
+    fa = Fn("f", (Fn("a"),))
+    g = Fn("g", (Fn("f", (Fn("a"),)), Var(1)))
+    texts = {fa: "F", g: None}
+    assert print_term(Atom("p", (fa, g)), texts=texts) == "p(F, g(F, X1))"
+    assert texts == {fa: "F", g: "g(F, X1)"}
+    # One deep term: only the wanted texts are kept, each printed once.
+    deep = [Fn("0")]
+    for _ in range(100_000):
+        deep.append(Fn("s", (deep[-1],)))
+    texts = dict.fromkeys((deep[-1], deep[-2]))
+    assert print_term(Atom("nat", (deep[-1],)), texts=texts) == "nat(" + "s(" * 100_000 + "0" + ")" * 100_001
+    assert list(texts) == [deep[-1], deep[-2]] and texts[deep[-2]] == texts[deep[-1]][2:-1]
 
 
 def test_equality_of_deep_terms_does_not_recurse():
