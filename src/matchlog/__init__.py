@@ -33,12 +33,10 @@ from .substitution import (
     Substitution,
     apply,
     arrow_apply,
-    compose,
     compose_arrows,
     instances,
     mgm,
     mgu,
-    rename_apart,
     unify,
 )
 from .cotree import (
@@ -64,7 +62,6 @@ from .engine_sld import (
     SldLimits,
     SldResult,
     check_bridge,
-    replay_trace,
     sld_solve,
 )
 from .coalgebra import (
@@ -88,6 +85,7 @@ from .coalgebra import (
     pp_leq,
     project_approximant,
     rebase,
+    saturate,
     unfold,
 )
 

@@ -21,6 +21,16 @@ base and uniform renumbering of the fresh block, and `lax_square` compares
 acting-then-stepping against stepping-then-acting: the first is always below
 the second in the subset order, with equality whenever the arrow is an
 injective renaming.
+
+Saturation: an arrow f changes which clauses match an atom A only through
+the clauses whose head unifies with A without matching it. For each such
+clause c, `saturate` gives θ_c = mgu(A, head(c) renamed apart) restricted
+to A's variables, and c matches f(A) exactly when f restricted to A's
+variables is an instance of θ_c. A restriction that is an instance of no
+θ_c is untriggered, and its square is strict: f(A) matches exactly A's
+clauses, so both sides hold the same bodies. `lax_sweep` steps only the
+triggered restrictions and the variable injections, and counts every other
+class strict, so its cost grows with the triggered pairs, not the classes.
 """
 
 from __future__ import annotations
@@ -32,7 +42,14 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .cotree import AndNode, build_tree, fold
-from .substitution import ArrowSubstitution, arrow_apply, instances, is_var_injection
+from .substitution import (
+    ArrowSubstitution,
+    arrow_apply,
+    instances,
+    is_var_injection,
+    mgm,
+    unify,
+)
 from .syntax import (
     ArityMismatchError,
     Atom,
@@ -453,6 +470,80 @@ class LaxSweepReport:
                 f"{len(self.equality_failures)} equality failures elsewhere")
 
 
+def saturate(program: Program, atom: Atom) -> tuple[tuple[Term, ...], ...]:
+    """The saturated step at `atom` (Bonchi & Zanasi, "Saturated semantics
+    for coalgebraic logic programming", CALCO 2013), given by its triggers.
+
+    For each clause whose head unifies with the atom but does not match it,
+    θ_c = mgu(atom, head renamed apart), restricted to the atom's variables:
+    one component per variable, in increasing order. The clause matches
+    f(atom) exactly when f, restricted to those variables, is an instance of
+    θ_c, and a clause that matches the atom matches every f(atom). So the θ_c
+    present the matched clauses under every arrow at once.
+    """
+    used = sorted(set(term_vars(atom)))
+    top = atom.max_var
+    thetas: dict[tuple[Term, ...], None] = {}
+    for idx in program.candidates(atom.name, atom.args[0] if atom.args else None):
+        head = program.clauses[idx].head
+        store: dict[int, tuple[Term, int]] = {}
+        if mgm(head, atom) is None and unify(atom, 0, head, top, store, []):
+            thetas.setdefault(tuple([rename(Var(i), bound=store.get) for i in used]))
+    return tuple(thetas)
+
+
+def _instances(thetas: Iterable[tuple[Term, ...]],
+               pool: Sequence[Term]) -> set[tuple[int, ...]]:
+    """Index tuples into `pool` of the tuples of pool terms that are an
+    instance of some tuple in `thetas`.
+
+    A hash join over the components. A component whose variables earlier
+    ones have bound, a ground one among them, is looked up by its image.
+    Any other has its matches found once, by `mgm` against the pool terms of
+    its principal functor, and filed under what they bind the variables of
+    earlier components. So the join meets only the instances and their
+    prefixes, never the product of the candidate lists.
+    """
+    index: dict[Term, int] = {}
+    by_functor: dict[tuple[str, int], list[int]] = {}
+    for i, t in enumerate(pool):
+        index[t] = i
+        if type(t) is Fn:
+            by_functor.setdefault((t.name, len(t.args)), []).append(i)
+    out: set[tuple[int, ...]] = set()
+    for theta in thetas:
+        rows: list[tuple[tuple[int, ...], dict[int, Term]]] = [((), {})]
+        bound: set[int] = set()
+        for p in theta:
+            pvars = sorted(set(term_vars(p)))
+            if bound.issuperset(pvars):
+                joined = []
+                for picks, env in rows:
+                    i = index.get(rename(p, lookup(env)))
+                    if i is not None:
+                        joined.append((picks + (i,), env))
+                rows = joined
+                continue
+            shared = [v for v in pvars if v in bound]
+            bound.update(pvars)
+            if type(p) is Var:
+                matches = [(i, {p.index: t}) for i, t in enumerate(pool)]
+            else:
+                matches = []
+                for i in by_functor.get((p.name, len(p.args)), ()):
+                    s = mgm(p, pool[i])
+                    if s is not None:
+                        matches.append((i, {v: s.get(v) for v in pvars}))
+            table: dict[tuple[Term, ...], list[tuple[int, dict[int, Term]]]] = {}
+            for i, binding in matches:
+                table.setdefault(tuple([binding[v] for v in shared]), []).append((i, binding))
+            rows = [(picks + (i,), {**env, **binding})
+                    for picks, env in rows
+                    for i, binding in table.get(tuple([env[v] for v in shared]), ())]
+        out.update(picks for picks, _ in rows)
+    return out
+
+
 def lax_sweep(program: Program,
               atom_bases: Sequence[tuple[Atom, int]] | None = None,
               max_arity: int = 3, term_depth: int = 2) -> LaxSweepReport:
@@ -464,17 +555,28 @@ def lax_sweep(program: Program,
     `len(pool) ** (m - |used|)` times. Its witness arrow sends every unused
     position to `pool[0]`, the first arrow of the class in product order.
 
+    Most classes are strict without a step. A class changes the matched
+    clauses only when its restriction is an instance of some trigger θ_c of
+    `saturate`; otherwise f(atom) matches exactly the atom's clauses, with
+    the matchers composed with f, both sides are the same bodies up to fresh
+    renaming, and their canonical forms are equal. So for each atom and n the
+    sweep steps only the triggered restrictions, found by joining the pool
+    terms that match each θ_c component, and the variable injections, which
+    it always compares, and counts every other class strict. The stepped
+    restrictions are visited in product order, so the witnesses and their
+    order are those of a walk over every arrow; the cost grows with the
+    triggered pairs, not with the classes or the arrows.
+
     Neither side of a square mentions the target m, and the source n only
-    shifts their fresh blocks. So each (atom, restriction) pair is decided
-    once, by `lax_square` on the arrow n->atom.max_var, with one step per atom
-    at its own arity, moved to base n by `rebase`. The step is
+    shifts their fresh blocks. So each stepped (atom, restriction) pair is
+    decided once, by `lax_square` on the arrow n->atom.max_var, with one step
+    per atom at its own arity, moved to base n by `rebase`. The step is
     `pff_step_unchecked`: each supplied atom is checked once, and its images
     under pool terms cannot clash. A strict pair keeps only its verdict. A
     pair that is not strict keeps its square, and each later (m, n) re-emits
     it with its own witness and rebased sides. The injective arrows of such a
     class are enumerated directly, as permutations of the variables the
-    restriction leaves unused, so the cost grows with distinct pairs and with
-    those extensions, never with the number of arrows.
+    restriction leaves unused.
     """
     if atom_bases is None:
         atom_bases = default_check_atoms(program, max_arity)
@@ -492,6 +594,9 @@ def lax_sweep(program: Program,
     # each one that is not.
     strict: set[tuple[Atom, tuple[Term, ...]]] = set()
     kept: dict[tuple[Atom, tuple[Term, ...]], LaxSquare] = {}
+    # The stepped restrictions of each (atom, n), as sorted pool indices;
+    # the default atoms list each generic atom at two bases.
+    picked: dict[tuple[Atom, int], list[tuple[int, ...]]] = {}
     squares = 0
     classes = 0
     strict_ok = 0
@@ -506,17 +611,26 @@ def lax_sweep(program: Program,
         program.check_atom(atom)
         used = tuple(sorted(set(term_vars(atom))))
         free = [i for i in range(1, m + 1) if i not in used]
+        thetas = saturate(program, atom)
         for n in range(max_arity + 1):
             pool = terms_by_n[n]
             if m and not pool:
                 continue  # no arrow n->m exists
             weight = len(pool) ** len(free)
-            classes += len(pool) ** len(used)
+            total = len(pool) ** len(used)
+            classes += total
             squares += len(pool) ** m
+            # Variables lead the pool in index order, so the injections are
+            # the index tuples without repeats below n; sorted index tuples
+            # are in product order.
+            picks = picked.get((atom, n))
+            if picks is None:
+                picks = picked[atom, n] = sorted(_instances(thetas, pool).union(
+                    itertools.permutations(range(n), len(used))))
+            strict_ok += weight * (total - len(picks))
             injective: list[LaxSquare] = []
-            # Restrictions in product order meet the classes in the order a
-            # walk over pool^m first meets them.
-            for fkey in itertools.product(pool, repeat=len(used)):
+            for pick in picks:
+                fkey = tuple([pool[i] for i in pick])
                 key = (atom, fkey)
                 if key in strict:
                     strict_ok += weight
@@ -545,8 +659,8 @@ def lax_sweep(program: Program,
                             tup[i - 1] = v
                         injective.append(
                             replace(sq, arrow=ArrowSubstitution(n, m, tuple(tup))))
-            # Variables lead the pool in index order, so sorting by indices
-            # restores product order across the interleaved classes.
+            # Sorting by indices restores product order across the
+            # interleaved injective classes.
             injection_failures.extend(sorted(
                 injective, key=lambda sq: [v.index for v in sq.arrow.terms]))
     return LaxSweepReport(squares, classes, strict_ok,

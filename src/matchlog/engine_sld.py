@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 
 from .cotree import Status
 from .engine_tm import tm_status
-from .substitution import Substitution, apply, compose, mgu, rename_apart, unify, walk
+from .substitution import Substitution, apply, unify, walk
 from .syntax import Atom, Program, Term, Var, print_term, rename, renumbering
 
 
@@ -180,31 +180,6 @@ def sld_solve(program: Program, goals: Sequence[Atom],
             return SldResult(tuple(answers), True)
         budget, floor = min(budget * 2, limits.max_steps), budget
     return SldResult(tuple(answers), False)
-
-
-def replay_trace(program: Program, goals: Sequence[Atom], answer: Answer) -> Substitution:
-    """Re-run a recorded derivation; returns the restricted answer it computes.
-
-    Raises ValueError if any step fails to unify or the final goal is not
-    empty, so tests can use it as an independent soundness check.
-    """
-    resolvent = tuple(goals)
-    sigma = Substitution.identity()
-    for idx, offset in answer.trace:
-        if not resolvent:
-            raise ValueError("trace continues past an empty goal")
-        renamed = rename_apart(program.clauses[idx], offset)
-        unifier = mgu(resolvent[0], renamed.head)
-        if unifier is None:
-            raise ValueError(f"trace step does not unify: clause {idx}")
-        resolvent = apply(unifier, renamed.body + resolvent[1:])
-        sigma = compose(unifier, sigma)
-    if resolvent:
-        raise ValueError("trace ends on a non-empty goal")
-    # Composed from idempotent unifiers over renamed-apart clauses, `sigma` is
-    # idempotent, so reading through it applies it once.
-    return _canonical_answer(max((g.max_var for g in goals), default=0),
-                             {i: (t, 0) for i, t in sigma.items()}.get)
 
 
 # ---------------------------------------------------------------------------

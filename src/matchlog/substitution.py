@@ -109,14 +109,6 @@ def apply(s: Substitution, x: _Applicable) -> _Applicable:
     return tuple([rename(a, var_fn) for a in x])
 
 
-def compose(s1: Substitution, s2: Substitution) -> Substitution:
-    """The substitution with apply(compose(s1, s2), t) = apply(s1, apply(s2, t))."""
-    out: dict[int, Term] = {i: apply(s1, t) for i, t in s2.items()}
-    for i, t in s1.items():
-        out.setdefault(i, t)
-    return Substitution(out)
-
-
 # ---------------------------------------------------------------------------
 # Unification and matching
 # ---------------------------------------------------------------------------
@@ -203,8 +195,9 @@ def mgu(a: Atom, b: Atom) -> Substitution | None:
     return Substitution({i: rename(Var(i), bound=store.get) for i in store})
 
 
-def mgm(pattern: Atom, target: Atom) -> Substitution | None:
-    """Most general matcher sending `pattern` exactly onto `target`, or None.
+def mgm(pattern: Fn, target: Fn) -> Substitution | None:
+    """Most general matcher sending `pattern` exactly onto `target`, two
+    atoms or two non-variable terms, or None.
 
     Only pattern variables are bound; target variables are treated as inert
     constants, so the target is never specialised. When a matcher exists it
@@ -231,8 +224,8 @@ def mgm(pattern: Atom, target: Atom) -> Substitution | None:
 
 def rename_apart(c: Clause, avoid: int) -> Clause:
     """Shift every variable in the clause above `avoid`; a ground clause is
-    returned as it is. SLD never renames: `replay_trace` uses this as the
-    eager step it checks a derivation with."""
+    returned as it is. SLD never renames: this is the eager step that the
+    tests replay a derivation with."""
     if avoid == 0 or not c.var_count:
         return c
 

@@ -16,6 +16,7 @@ from dataclasses import replace
 
 from matchlog import coalgebra
 from matchlog import (
+    Answer,
     ArrowSubstitution,
     Atom,
     Clause,
@@ -27,11 +28,11 @@ from matchlog import (
     apply,
     mgm,
     mgu,
-    compose,
     arrow_apply,
     compose_arrows,
     parse_program,
 )
+from matchlog.substitution import rename_apart
 from matchlog.syntax import (
     canonical_clause,
     print_term,
@@ -235,6 +236,23 @@ def enumerate_matchers(pattern: Atom, target: Atom) -> list[Substitution]:
     return found
 
 
+def brute_triggered(program: Program, atom: Atom, pool) -> set[tuple[Term, ...]]:
+    """The restrictions under which some clause head matches f(atom) but not
+    the atom: tuples of pool terms, one for each of the atom's variables in
+    increasing order, each applied to the atom and every head tried on the
+    image with `enumerate_matchers`."""
+    used = sorted(set(term_vars(atom)))
+    heads = [c.head for c in program.clauses
+             if (c.head.name, len(c.head.args)) == (atom.name, len(atom.args))
+             and not enumerate_matchers(c.head, atom)]
+    found = set()
+    for fkey in itertools.product(pool, repeat=len(used)):
+        image = apply(Substitution(dict(zip(used, fkey))), atom)
+        if any(enumerate_matchers(h, image) for h in heads):
+            found.add(fkey)
+    return found
+
+
 def ground_term_pool(depth: int) -> list[Term]:
     pool: dict[Term, None] = {Fn(c): None for c in CONSTANTS}
     for _ in range(depth - 1):
@@ -295,6 +313,53 @@ def brute_lax_sweep(program: Program, atom_bases=None, max_arity: int = 3,
                                     tuple(equality_failures), tuple(injection_failures))
 
 
+def compose(s1: Substitution, s2: Substitution) -> Substitution:
+    """The substitution with apply(compose(s1, s2), t) = apply(s1, apply(s2, t))."""
+    out: dict[int, Term] = {i: apply(s1, t) for i, t in s2.items()}
+    for i, t in s1.items():
+        out.setdefault(i, t)
+    return Substitution(out)
+
+
+def restricted_answer(n0: int, images) -> Substitution:
+    """The answer sending x_i to the i-th of `images`, the images of the
+    query's variables x_1..x_n0, with the variables above x_n0 renumbered
+    by first occurrence."""
+    residual: dict[int, Term] = {}
+    for t in images:
+        for i in term_vars(t):
+            if i > n0 and i not in residual:
+                residual[i] = Var(n0 + len(residual) + 1)
+    fresh = Substitution(residual)
+    return Substitution({i: apply(fresh, t) for i, t in enumerate(images, 1)})
+
+
+def replay_trace(program: Program, goals, answer: Answer) -> Substitution:
+    """Re-run a recorded SLD derivation by the eager step: each clause of
+    the trace renamed apart at its offset, unified with the leftmost goal,
+    and the unifier applied to the rest and composed into the answer.
+    Returns the restricted answer it computes.
+
+    Raises ValueError if any step fails to unify or the final goal is not
+    empty.
+    """
+    resolvent = tuple(goals)
+    sigma = Substitution.identity()
+    for idx, offset in answer.trace:
+        if not resolvent:
+            raise ValueError("trace continues past an empty goal")
+        renamed = rename_apart(program.clauses[idx], offset)
+        unifier = mgu(resolvent[0], renamed.head)
+        if unifier is None:
+            raise ValueError(f"trace step does not unify: clause {idx}")
+        resolvent = apply(unifier, renamed.body + resolvent[1:])
+        sigma = compose(unifier, sigma)
+    if resolvent:
+        raise ValueError("trace ends on a non-empty goal")
+    n0 = max((g.max_var for g in goals), default=0)
+    return restricted_answer(n0, tuple(apply(sigma, Var(i)) for i in range(1, n0 + 1)))
+
+
 def eager_sld(program: Program, goals: tuple[Atom, ...], max_steps: int,
               max_answers: int, strategy: str) -> tuple[list[tuple], bool]:
     """SLD by the textbook eager step, as (answers, exhausted); each answer is
@@ -311,22 +376,13 @@ def eager_sld(program: Program, goals: tuple[Atom, ...], max_steps: int,
         shift = Substitution({i: Var(i + offset) for i in range(1, clause.var_count + 1)})
         return apply(shift, clause.head), apply(shift, clause.body)
 
-    def restricted(images: tuple[Term, ...]) -> Substitution:
-        residual: dict[int, Term] = {}
-        for t in images:
-            for i in term_vars(t):
-                if i > n0 and i not in residual:
-                    residual[i] = Var(n0 + len(residual) + 1)
-        fresh = Substitution(residual)
-        return Substitution({i: apply(fresh, t) for i, t in enumerate(images, 1)})
-
     def sweep(budget: int) -> bool:
         cutoff = False
         stack = [(goals, tuple(Var(i) for i in range(1, n0 + 1)), n0, 0, ())]
         while stack:
             resolvent, images, ceiling, steps, trace = stack.pop()
             if not resolvent:
-                answer = restricted(images)
+                answer = restricted_answer(n0, images)
                 if answer not in seen:
                     seen.add(answer)
                     answers.append((answer, steps, trace))

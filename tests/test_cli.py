@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pathlib
 
@@ -85,6 +86,21 @@ def test_check_inj(capsys):
     code, out, _ = run(capsys, "check", PROGRAMS / "gc.lp", "--what", "inj")
     assert code == 0
     assert "STRICT OK" in out
+
+
+def test_check_lax_at_term_depth_3(capsys):
+    # Of the 433,952 classes the sweep steps 612 distinct (atom, restriction)
+    # pairs and counts the rest strict; the text is that of the walk over
+    # every class.
+    code, out, _ = run(capsys, "check", PROGRAMS / "listnat.lp", "--what", "lax",
+                       "--arity", "2", "--term-depth", "3")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == ("checked 1290792 squares (433952 distinct): 0 lax failures, "
+                        "0 injection equality failures, 1836 equality failures elsewhere")
+    assert len(lines) == 23 and lines[-1] == "LAX OK"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "229f5b83bbe433fd36a345a7ff13fe31bca429b7a2ae77c194c0b89b74eca086")
 
 
 def test_check_with_nothing_to_check_is_a_data_error(capsys, tmp_path):

@@ -45,7 +45,13 @@ from matchlog import (
 
 from matchlog.syntax import term_vars
 
-from helpers import brute_lax_sweep, lfp_entailed, random_fo_program, random_ground_program
+from helpers import (
+    brute_lax_sweep,
+    brute_triggered,
+    lfp_entailed,
+    random_fo_program,
+    random_ground_program,
+)
 
 A, B, C, D = Atom("a"), Atom("b"), Atom("c"), Atom("d")
 
@@ -365,6 +371,23 @@ def test_lax_sweep_small(gc, bad):
         assert report.injections_strict
 
 
+def test_saturate_examples(listnat, gc):
+    # One θ_c per clause whose head unifies with the atom without matching
+    # it, over the atom's variables; the head's own variables sit above them.
+    x1, x2, x3 = Var(1), Var(2), Var(3)
+    cases = [
+        (listnat, "nat(X)", ((Fn("0"),), (Fn("s", (x2,)),))),
+        (listnat, "list(X)", ((Fn("nil"),), (Fn("cons", (x2, x3)),))),
+        (listnat, "list(cons(X, Y))", ()),
+        (listnat, "nat(s(s(0)))", ()),
+        (gc, "connected(X, Y)", ((x1, x1),)),
+        (gc, "connected(X, X)", ()),
+        (gc, "edge(X, Y)", ()),
+    ]
+    for program, text, thetas in cases:
+        assert coalgebra.saturate(program, parse_atom(text)[0]) == thetas, text
+
+
 def _sweep_lines(report):
     """Counts and printed witness lines, as `check --what lax|inj` shows them."""
     return (report.squares_checked, report.classes_checked, report.strict_ok_squares,
@@ -390,7 +413,10 @@ def test_lax_sweep_matches_oracle_on_injection_failures(listnat, gc, monkeypatch
     # A step that loses a body of every atom whose first argument mentions x1
     # or x2 breaks injective squares. connected(x3, x1) at base 3 has a free
     # position between its used ones, so the failing injections of its
-    # classes (x3, x1) and (x3, x2) interleave in product order.
+    # classes (x3, x1) and (x3, x2) interleave in product order. The sweep
+    # steps only triggered and injective classes, so under this step the
+    # untriggered classes it counts strict are not all strict by the brute
+    # walk: the equality witnesses and strict counts part ways.
     real_step = coalgebra.pff_step_unchecked
 
     def lossy_step(program, atom, base):
@@ -410,45 +436,124 @@ def test_lax_sweep_matches_oracle_on_injection_failures(listnat, gc, monkeypatch
         report = lax_sweep(program, atom_bases)
         oracle = brute_lax_sweep(program, atom_bases)
         assert report.injection_failures
-        assert _sweep_lines(report) == _sweep_lines(oracle)
-        assert report == oracle
+        assert ([sq.line(strict_expected=True) for sq in report.injection_failures]
+                == [sq.line(strict_expected=True) for sq in oracle.injection_failures])
+        assert report.injection_failures == oracle.injection_failures
+        assert ((report.squares_checked, report.classes_checked)
+                == (oracle.squares_checked, oracle.classes_checked))
+
+
+def _restrictions(program, max_arity):
+    """(atom, pool, restrictions) for each checked atom of the default sweep
+    and each pool it meets: the restrictions are the tuples of pool terms,
+    one for each of the atom's variables in increasing order."""
+    pools = [enumerate_terms(program.signature, n, 2) for n in range(max_arity + 1)]
+    for atom, m in default_check_atoms(program, max_arity):
+        used = len(set(term_vars(atom)))
+        for pool in pools:
+            if pool or not m:
+                yield atom, pool, itertools.product(pool, repeat=used)
+
+
+def _image(atom, fkey):
+    return apply(Substitution(dict(zip(sorted(set(term_vars(atom))), fkey))), atom)
 
 
 def _classes_and_atoms(program, max_arity):
     """The distinct (atom, restriction) pairs of the default sweep, and the
     atoms they step: each checked atom and its image under each restriction."""
-    pools = [enumerate_terms(program.signature, n, 2) for n in range(max_arity + 1)]
-    pairs, atoms = set(), set()
-    for atom, m in default_check_atoms(program, max_arity):
-        used = sorted(set(term_vars(atom)))
-        atoms.add(atom)
-        for pool in pools:
-            if m and not pool:
-                continue
-            for fkey in itertools.product(pool, repeat=len(used)):
-                pairs.add((atom, fkey))
-                atoms.add(apply(Substitution(dict(zip(used, fkey))), atom))
-    return pairs, atoms
+    pairs = {(atom, fkey) for atom, _, fkeys in _restrictions(program, max_arity)
+             for fkey in fkeys}
+    return pairs, {a for a, _ in pairs} | {_image(a, fkey) for a, fkey in pairs}
+
+
+def _triggered_classes(program, max_arity):
+    """Each distinct (atom, restriction) pair of the default sweep, mapped to
+    whether the trigger oracle finds a clause that the restriction makes
+    match."""
+    out = {}
+    for atom, pool, fkeys in _restrictions(program, max_arity):
+        triggered = brute_triggered(program, atom, pool)
+        for fkey in fkeys:
+            out[atom, fkey] = fkey in triggered
+    return out
+
+
+def _injection(fkey):
+    return all(isinstance(t, Var) for t in fkey) and len(set(fkey)) == len(fkey)
+
+
+def _stepped_pairs(classes):
+    return {pair for pair, triggered in classes.items() if triggered or _injection(pair[1])}
+
+
+def _recorded_squares(monkeypatch):
+    """The (atom, restriction) pair of each `lax_square` the sweep runs."""
+    pairs = []
+    real_square = coalgebra.lax_square
+
+    def recorded(step, f, atom):
+        pairs.append((atom, tuple(f.terms[i - 1] for i in sorted(set(term_vars(atom))))))
+        return real_square(step, f, atom)
+
+    monkeypatch.setattr(coalgebra, "lax_square", recorded)
+    return pairs
+
+
+def test_lax_sweep_steps_the_triggered_and_injective_classes(listnat, listnat_plus, gc,
+                                                             bad, ex33, monkeypatch):
+    # The sweep steps a class when the trigger oracle finds a clause its
+    # restriction makes match, or when the restriction is a variable
+    # injection; every other class it counts strict, which a direct square
+    # confirms.
+    squares = _recorded_squares(monkeypatch)
+    rng = random.Random(4242)
+    programs = [listnat, listnat_plus, gc, bad, ex33]
+    programs += [random_fo_program(rng, existential=False) for _ in range(12)]
+    programs += [random_fo_program(rng, existential=True) for _ in range(12)]
+    triggered = untriggered = 0
+    for program in programs:
+        step = lru_cache(maxsize=None)(partial(pff_step, program))
+        strict = set()
+        for arity in range(4):
+            squares.clear()
+            lax_sweep(program, max_arity=arity, term_depth=2)
+            classes = _triggered_classes(program, arity)
+            assert not any(t and _injection(fkey) for (_, fkey), t in classes.items())
+            assert len(squares) == len(set(squares))
+            assert set(squares) == _stepped_pairs(classes)
+            triggered += sum(classes.values())
+            for (atom, fkey), t in classes.items():
+                if t or (atom, fkey) in strict:
+                    continue
+                tup = [fkey[0] if fkey else None] * atom.max_var
+                for i, term in zip(sorted(set(term_vars(atom))), fkey):
+                    tup[i - 1] = term
+                n = max((term.max_var for term in fkey), default=0)
+                square = lax_square(step, ArrowSubstitution(n, atom.max_var, tuple(tup)), atom)
+                assert square.strict_ok, (square.line(), arity)
+                strict.add((atom, fkey))
+        untriggered += len(strict)
+    assert triggered and untriggered
 
 
 def test_lax_sweep_checks_one_square_per_class(listnat, monkeypatch):
-    squares, steps = [], []
-    real_square, real_step = coalgebra.lax_square, coalgebra.pff_step_unchecked
-
-    def counted_square(*args):
-        squares.append(args)
-        return real_square(*args)
+    # One square per stepped class: the triggered ones and the injections.
+    squares, steps = _recorded_squares(monkeypatch), []
+    real_step = coalgebra.pff_step_unchecked
 
     def counted_step(*args):
         steps.append(args)
         return real_step(*args)
 
-    monkeypatch.setattr(coalgebra, "lax_square", counted_square)
     monkeypatch.setattr(coalgebra, "pff_step_unchecked", counted_step)
     report = lax_sweep(listnat, max_arity=3, term_depth=2)
-    pairs, atoms = _classes_and_atoms(listnat, 3)
+    classes = _triggered_classes(listnat, 3)
+    pairs = _stepped_pairs(classes)
+    atoms = {a for a, _ in classes} | {_image(a, fkey) for a, fkey in pairs}
     assert (report.classes_checked, report.squares_checked) == (2508, 123516)
-    assert len(squares) == len(pairs) == 1332
+    assert len(classes) == 1332
+    assert len(squares) == len(pairs) == 49
     assert len(steps) == len(atoms)
 
 

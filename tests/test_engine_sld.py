@@ -20,12 +20,11 @@ from matchlog import (
     parse_atom,
     parse_goal,
     parse_program,
-    replay_trace,
     sld_solve,
     tm_prove,
 )
 
-from helpers import chain_edges, eager_sld, edge_program, random_fo_program
+from helpers import chain_edges, eager_sld, edge_program, random_fo_program, replay_trace
 
 
 def test_gc_first_answer(gc):
@@ -117,7 +116,8 @@ def test_strategies_find_same_answer_set(listnat, listnat_plus, gc):
 
 
 def test_renaming_hygiene(listnat_plus):
-    from matchlog import apply, mgu, rename_apart
+    from matchlog import apply, mgu
+    from matchlog.substitution import rename_apart
     from matchlog.syntax import term_vars
 
     g, n = parse_atom("list(cons(X, Y))")
@@ -252,14 +252,13 @@ def test_sld_steps_apply_no_substitution(monkeypatch, listnat, gc):
 
 
 def test_sld_solve_never_renames_a_clause(monkeypatch, listnat, listnat_plus, gc):
-    # Clauses are used in place at an offset; `rename_apart` is left to
-    # `replay_trace` and the tests.
+    # Clauses are used in place at an offset; `rename_apart` is left to the
+    # tests' `replay_trace`.
     from matchlog import substitution
 
     def refuse(*args):
         raise AssertionError("rename_apart called")
 
-    monkeypatch.setattr(engine_sld, "rename_apart", refuse)
     monkeypatch.setattr(substitution, "rename_apart", refuse)
     longest = 0
     for program, text, limits in [

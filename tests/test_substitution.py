@@ -16,14 +16,13 @@ from matchlog import (
     Var,
     apply,
     arrow_apply,
-    compose,
     compose_arrows,
     mgm,
     mgu,
     parse_atom,
-    rename_apart,
     unify,
 )
+from matchlog.substitution import rename_apart
 from matchlog.syntax import rename
 
 from helpers import (
@@ -31,6 +30,7 @@ from helpers import (
     check_arrow_case,
     check_mgm_case,
     check_mgu_case,
+    compose,
     enumerate_unifiers,
     flat_store,
     ground_term_pool,

@@ -23,8 +23,8 @@ from matchlog import (
     print_program,
     print_term,
     rename,
-    rename_apart,
 )
+from matchlog.substitution import rename_apart
 from matchlog.syntax import (
     canonical_clause,
     parse_canonical_atom,
