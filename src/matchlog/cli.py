@@ -8,6 +8,10 @@ nested too deeply to process, a lax or inj sweep with no square to check,
 and a bridge or ground-oracle check of a program with no atom, exit 65.
 Every subcommand formats its whole output before `main` writes any of it,
 so an exit 65 leaves stdout empty.
+
+A check's report is its JSON document, which `--format json` prints. The
+ascii output is that document rendered by the check's text renderer, so
+each witness, answer and atom is printed once, into the document.
 """
 
 from __future__ import annotations
@@ -132,7 +136,7 @@ def _format_answer(bindings: Substitution, names: Sequence[str]) -> str:
 def _cmd_prove(program: Program, args: argparse.Namespace) -> tuple[int, list[str]]:
     goal = syntax.parse_goal(args.goal, program.signature)
     result = engine_tm.tm_prove(program, goal.atom, args.depth)
-    proof = [] if result.proof is None else cotree.render_chunks(result.proof, args.format)
+    proof = [] if result.proof is None else cotree.render(result.proof, args.format, pieces=True)
     return _STATUS_EXIT[result.status], [f"{result.status}\n", *proof]
 
 
@@ -151,10 +155,10 @@ def _cmd_solve(program: Program, args: argparse.Namespace) -> tuple[int, list[st
 def _cmd_tree(program: Program, args: argparse.Namespace) -> tuple[int, list[str]]:
     goal = syntax.parse_goal(args.goal, program.signature)
     t = cotree.build_tree(program, goal.atom, goal.var_count, args.depth)
-    return 0, cotree.render_chunks(t, args.format)
+    return 0, cotree.render(t, args.format, pieces=True)
 
 
-def _check_lax(program: Program, args: argparse.Namespace) -> tuple[bool, dict, list[str]]:
+def _check_lax(program: Program, args: argparse.Namespace) -> dict:
     report = coalgebra.lax_sweep(program, max_arity=args.arity, term_depth=args.term_depth)
     if report.squares_checked == 0:
         raise ValueError(f"nothing to check: no atom or arrow is available "
@@ -163,41 +167,57 @@ def _check_lax(program: Program, args: argparse.Namespace) -> tuple[bool, dict, 
     others = () if strict_expected else report.equality_failures
     # simplest witnesses first
     witnesses = sorted(report.lax_failures + report.injection_failures + others,
-                       key=lambda sq: (len(str(sq.arrow)), str(sq.arrow), print_term(sq.atom)))
-    ok = report.all_lax_ok and (not strict_expected or report.injections_strict)
-    shown, hidden = witnesses[:args.max_report], len(witnesses) - args.max_report
-    doc = {"check": args.what,
-           "squares_checked": report.squares_checked,
-           "classes_checked": report.classes_checked,
-           "lax_failures": len(report.lax_failures),
-           "injection_failures": len(report.injection_failures),
-           "equality_failures": len(report.equality_failures),
-           "witnesses": [sq.to_record() for sq in shown],
-           "ok": ok}
-    more = [f"... and {hidden} more"] if hidden > 0 else []
-    verdict = ("STRICT " if strict_expected else "LAX ") + ("OK" if ok else "FAIL")
-    return ok, doc, [report.summary(), *(sq.line(strict_expected=True) for sq in shown),
-                     *more, verdict]
+                       key=lambda sq: (len(f := str(sq.arrow)), f, print_term(sq.atom)))
+    return {"check": args.what,
+            "squares_checked": report.squares_checked,
+            "classes_checked": report.classes_checked,
+            "lax_failures": len(report.lax_failures),
+            "injection_failures": len(report.injection_failures),
+            "equality_failures": len(report.equality_failures),
+            "witnesses": [sq.to_record() for sq in witnesses[:args.max_report]],
+            "ok": report.all_lax_ok and (not strict_expected or report.injections_strict)}
 
 
-def _check_bridge(program: Program, args: argparse.Namespace) -> tuple[bool, dict, list[str]]:
+def _lax_text(doc: dict) -> list[str]:
+    shown, strict_expected = doc["witnesses"], doc["check"] == "inj"
+    hidden = (doc["lax_failures"] + doc["injection_failures"] - len(shown)
+              + (0 if strict_expected else doc["equality_failures"]))
+    # A witness fails equality, so it is tagged by whether it is lax.
+    return [f"checked {doc['squares_checked']} squares ({doc['classes_checked']} distinct): "
+            f"{doc['lax_failures']} lax failures, {doc['injection_failures']} injection "
+            f"equality failures, {doc['equality_failures']} equality failures elsewhere",
+            *(f"{'STRICT' if w['lax_ok'] else 'LAX'} FAIL  f={w['arrow']}  A={w['atom']}  "
+              f"lhs={w['lhs']} rhs={w['rhs']}" for w in shown),
+            *([f"... and {hidden} more"] if hidden > 0 else []),
+            ("STRICT " if strict_expected else "LAX ") + ("OK" if doc["ok"] else "FAIL")]
+
+
+def _check_bridge(program: Program, args: argparse.Namespace) -> dict:
     limits = engine_sld.SldLimits(max_steps=args.max_steps, max_answers=args.max_answers)
     reports = [engine_sld.check_bridge(program, goal, limits, tm_depth=args.depth)
                for goal in program.signature.generic_atoms]
     if not reports:
         raise ValueError("nothing to check: the program has no atom")
-    ok = not any(rep.violations for rep in reports)
     goals = [{"goal": print_term(rep.goal),
               "exhausted": rep.exhausted,
               "answers": [{"answer": str(e.answer.bindings),
                            "instance": print_term(e.instance),
                            "tm": str(e.status)} for e in rep.entries]}
              for rep in reports]
-    doc = {"check": "bridge", "goals": goals, "ok": ok}
-    return ok, doc, [rep.to_text().removesuffix("\n") for rep in reports]
+    return {"check": "bridge", "goals": goals,
+            "ok": not any(rep.violations for rep in reports)}
 
 
-def _check_ground(program: Program, args: argparse.Namespace) -> tuple[bool, dict, list[str]]:
+def _bridge_text(doc: dict) -> list[str]:
+    lines = []
+    for g in doc["goals"]:
+        lines += [f"BRIDGE {'FAIL' if a['tm'] == str(Status.FAILED) else 'OK'}  goal={g['goal']}  "
+                  f"answer={a['answer']}  instance={a['instance']}  tm={a['tm']}"
+                  for a in g["answers"]] or [f"BRIDGE OK  goal={g['goal']}  (no answers)"]
+    return lines
+
+
+def _check_ground(program: Program, args: argparse.Namespace) -> dict:
     try:
         g = coalgebra.ground_coalgebra(program)
     except ValueError as exc:
@@ -206,29 +226,32 @@ def _check_ground(program: Program, args: argparse.Namespace) -> tuple[bool, dic
         raise ValueError("nothing to check: the program has no atom")
     entailed = coalgebra.ground_lfp(program)
     depth = len(g.atoms) + 1
-    atoms, lines = [], []
+    atoms = []
     for atom in g.atoms:
         levels_ok = coalgebra.approximant_matches_tree(g, atom, args.levels)
         proved = engine_tm.tm_status(program, atom, depth) is Status.PROVED
-        lfp_ok = proved == (atom in entailed)
         atoms.append({"atom": print_term(atom), "levels_match": levels_ok,
-                      "lfp_agrees": lfp_ok})
-        tag = "GROUND OK" if levels_ok and lfp_ok else "GROUND FAIL"
-        lines.append(f"{tag}  A={print_term(atom)}  levels=0..{args.levels} "
-                     f"match={levels_ok}  lfp_agrees={lfp_ok}")
-    ok = all(a["levels_match"] and a["lfp_agrees"] for a in atoms)
-    doc = {"check": "ground-oracle", "levels": args.levels, "atoms": atoms, "ok": ok}
-    return ok, doc, lines
+                      "lfp_agrees": proved == (atom in entailed)})
+    return {"check": "ground-oracle", "levels": args.levels, "atoms": atoms,
+            "ok": all(a["levels_match"] and a["lfp_agrees"] for a in atoms)}
 
 
-_CHECKS = {"lax": _check_lax, "inj": _check_lax, "bridge": _check_bridge,
-           "ground-oracle": _check_ground}
+def _ground_text(doc: dict) -> list[str]:
+    return [f"GROUND {'OK' if a['levels_match'] and a['lfp_agrees'] else 'FAIL'}  "
+            f"A={a['atom']}  levels=0..{doc['levels']} match={a['levels_match']}  "
+            f"lfp_agrees={a['lfp_agrees']}" for a in doc["atoms"]]
+
+
+_CHECKS = {"lax": (_check_lax, _lax_text), "inj": (_check_lax, _lax_text),
+           "bridge": (_check_bridge, _bridge_text),
+           "ground-oracle": (_check_ground, _ground_text)}
 
 
 def _cmd_check(program: Program, args: argparse.Namespace) -> tuple[int, list[str]]:
-    ok, doc, lines = _CHECKS[args.what](program, args)
-    text = json.dumps(doc, indent=2) + "\n" if args.format == "json" else _text(lines)
-    return 0 if ok else 1, [text]
+    check, render_text = _CHECKS[args.what]
+    doc = check(program, args)
+    text = json.dumps(doc, indent=2) + "\n" if args.format == "json" else _text(render_text(doc))
+    return 0 if doc["ok"] else 1, [text]
 
 
 def _cmd_classify(program: Program, args: argparse.Namespace) -> tuple[int, list[str]]:

@@ -109,10 +109,10 @@ def _require_ground(program: Program) -> None:
             raise ValueError(f"clause {i} contains variables; the program is not ground")
 
 
-def ground_coalgebra(program: Program, extra_atoms: Iterable[Atom] = ()) -> GroundCoalgebra:
+def ground_coalgebra(program: Program) -> GroundCoalgebra:
     """Read off the structure map; rejects programs with variables."""
     _require_ground(program)
-    universe: set[Atom] = set(extra_atoms)
+    universe: set[Atom] = set()
     bodies: dict[Atom, set[frozenset[Atom]]] = {}
     for c in program.clauses:
         universe.add(c.head)
@@ -352,18 +352,6 @@ class LaxSquare:
     lax_ok: bool
     strict_ok: bool
 
-    def line(self, strict_expected: bool = False) -> str:
-        if not self.lax_ok:
-            tag = "LAX FAIL"
-        elif self.strict_ok:
-            tag = "STRICT OK"
-        elif strict_expected:
-            tag = "STRICT FAIL"
-        else:
-            tag = "LAX OK"
-        return (f"{tag}  f={self.arrow}  A={print_term(self.atom)}  "
-                f"lhs={self.lhs} rhs={self.rhs}")
-
     def to_record(self) -> dict:
         return {
             "arrow": str(self.arrow),
@@ -461,13 +449,6 @@ class LaxSweepReport:
     @property
     def injections_strict(self) -> bool:
         return not self.injection_failures
-
-    def summary(self) -> str:
-        return (f"checked {self.squares_checked} squares "
-                f"({self.classes_checked} distinct): "
-                f"{len(self.lax_failures)} lax failures, "
-                f"{len(self.injection_failures)} injection equality failures, "
-                f"{len(self.equality_failures)} equality failures elsewhere")
 
 
 def saturate(program: Program, atom: Atom) -> tuple[tuple[Term, ...], ...]:

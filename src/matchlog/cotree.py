@@ -30,7 +30,7 @@ Matching builds a body instance from subterms of its parent's atom, so a
 printed argument is reused wherever it recurs, and rendering costs time
 linear in the tree's distinct term nodes plus the bytes of its output. It
 returns ascii and dot as one piece per line and JSON as its writer's pieces,
-joined unless the caller writes them in turn (`render_chunks`).
+joined unless the caller asks for the pieces to write them in turn.
 """
 
 from __future__ import annotations
@@ -419,13 +419,6 @@ def render(t: CoTree | ProofTree, fmt: str = "ascii", *, pieces: bool = False) -
         raise ValueError(f"unknown format {fmt!r}")
     out = _WRITERS[fmt](t, _printer(t.root))
     return out if pieces else "".join(out)
-
-
-def render_chunks(t: CoTree | ProofTree, fmt: str) -> list[str]:
-    """`render(t, fmt)` as the list of pieces whose join it is. It goes
-    through `render`, so every rendering, whole or in pieces, is one call
-    of it (as `bench/run.py`'s traced `cotree.render` row counts them)."""
-    return render(t, fmt, pieces=True)
 
 
 def load_tree_json(text: str, signature: Signature | None = None) -> CoTree:

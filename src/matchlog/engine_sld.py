@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 from .cotree import Status
 from .engine_tm import tm_status
 from .substitution import Substitution, apply, unify, walk
-from .syntax import Atom, Program, Term, Var, print_term, rename, renumbering
+from .syntax import Atom, Program, Term, Var, rename, renumbering
 
 
 @dataclass(frozen=True)
@@ -202,17 +202,6 @@ class BridgeReport:
     @property
     def violations(self) -> tuple[BridgeEntry, ...]:
         return tuple(e for e in self.entries if e.status is Status.FAILED)
-
-    def to_text(self) -> str:
-        lines = []
-        for e in self.entries:
-            tag = "BRIDGE FAIL" if e.status is Status.FAILED else "BRIDGE OK"
-            lines.append(f"{tag}  goal={print_term(self.goal)}  "
-                         f"answer={e.answer.bindings}  instance={print_term(e.instance)}  "
-                         f"tm={e.status}")
-        if not self.entries:
-            lines.append(f"BRIDGE OK  goal={print_term(self.goal)}  (no answers)")
-        return "\n".join(lines) + "\n"
 
 
 def check_bridge(program: Program, goal: Atom, limits: SldLimits | None = None,

@@ -21,7 +21,8 @@ substitution, sending an atom over at most m variables to one over at most n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union, overload
+from types import MappingProxyType
+from typing import Callable, Iterator, Mapping, Sequence, Union, overload
 
 from .syntax import (
     ArityMismatchError,
@@ -43,13 +44,9 @@ class Substitution:
 
     __slots__ = ("_bindings",)
 
-    def __init__(self, bindings: Mapping[int, Term] | Iterable[tuple[int, Term]] = ()) -> None:
-        # Every caller in the package passes a dict; test for it before the
-        # slower Mapping ABC check.
-        items = (bindings.items() if type(bindings) is dict or isinstance(bindings, Mapping)
-                 else bindings)
+    def __init__(self, bindings: Mapping[int, Term] = MappingProxyType({})) -> None:
         self._bindings = {
-            i: t for i, t in items if not (isinstance(t, Var) and t.index == i)
+            i: t for i, t in bindings.items() if not (isinstance(t, Var) and t.index == i)
         }
 
     @classmethod

@@ -12,7 +12,9 @@ import itertools
 import json
 import pathlib
 import random
+import sys
 from dataclasses import replace
+from typing import Callable
 
 from matchlog import coalgebra
 from matchlog import (
@@ -588,3 +590,31 @@ def check_arrow_case(rng: random.Random) -> None:
     assert arrow_apply(compose_arrows(f, g), atom) == arrow_apply(f, arrow_apply(g, atom))
     ident = ArrowSubstitution.identity(k)
     assert arrow_apply(ident, atom) == atom
+
+
+def c_calls(thunk: Callable[[], object]) -> int:
+    """The calls into C made while `thunk` runs, counted under
+    `sys.setprofile`: work measured as a count, which does not vary from run
+    to run as a timing does. It sees work done in calls, not the bytes one
+    C call copies."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event == "c_call"
+
+    sys.setprofile(profile)
+    try:
+        thunk()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def assert_linear_work(work: Callable[[int], int], sizes: tuple[int, ...] = (200, 400, 800),
+                       label: object = None) -> None:
+    """`work(n)` counts the work at size n; each doubling of n must multiply
+    it by 1.8 to 2.2, where quadratic work would multiply it by about 4."""
+    counts = [work(n) for n in sizes]
+    for small, big in zip(counts, counts[1:]):
+        assert 1.8 < big / small < 2.2, (label, counts)

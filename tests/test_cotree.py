@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 import re
-import sys
 
 import pytest
 
@@ -38,6 +37,8 @@ from matchlog import cotree
 
 from helpers import (
     ascii_oracle,
+    assert_linear_work,
+    c_calls,
     dot_oracle,
     expected_or_children,
     json_oracle,
@@ -446,7 +447,7 @@ def _assert_renders_as_oracles(t):
     for fmt, oracle in RENDER_ORACLES.items():
         text = render(t, fmt)
         assert text == oracle(t), fmt
-        assert "".join(cotree.render_chunks(t, fmt)) == text, fmt
+        assert "".join(cotree.render(t, fmt, pieces=True)) == text, fmt
 
 
 def _features(t) -> set[str]:
@@ -517,24 +518,12 @@ def test_rendering_chains_does_linear_work(listnat):
             t = tm_prove(listnat, Atom("nat", (term,)), n + 1).proof
         else:
             t = build_tree(grow, Atom("p", (Fn("a"),)), 0, n)
-        count = 0
-
-        def profile(frame, event, arg):
-            nonlocal count
-            count += event == "c_call"
-
-        sys.setprofile(profile)
-        try:
-            render(t, fmt)
-        finally:
-            sys.setprofile(None)
-        return count
+        return c_calls(lambda: render(t, fmt))
 
     for fmt in RENDER_ORACLES:
         for shrinking in (True, False):
-            counts = [work(n, fmt, shrinking) for n in (100, 200, 400)]
-            for small, big in zip(counts, counts[1:]):
-                assert 1.8 < big / small < 2.2, (fmt, shrinking, counts)
+            assert_linear_work(lambda n: work(n, fmt, shrinking), (100, 200, 400),
+                               (fmt, shrinking))
 
 
 def test_proof_tree_rejects_open_and_branching_nodes(listnat_plus):

@@ -26,6 +26,8 @@ from matchlog.substitution import rename_apart
 from matchlog.syntax import rename
 
 from helpers import (
+    assert_linear_work,
+    c_calls,
     check_apply_compose_case,
     check_arrow_case,
     check_mgm_case,
@@ -52,12 +54,10 @@ def test_identity_bindings_are_dropped():
     assert s.domain() == frozenset({2})
 
 
-def test_substitution_accepts_any_mapping_or_pairs():
+def test_substitution_accepts_any_mapping():
     from types import MappingProxyType
     expected = Substitution({2: Fn("0")})
     assert Substitution(MappingProxyType({1: Var(1), 2: Fn("0")})) == expected
-    assert Substitution([(1, Var(1)), (2, Fn("0"))]) == expected
-    assert Substitution(iter([(2, Fn("0"))])) == expected
 
 
 def test_compose_examples():
@@ -234,3 +234,27 @@ def test_property_batteries_small():
 
 def _atoms(*texts):
     return tuple(parse_atom(t)[0] for t in texts)
+
+
+def test_unify_does_linear_work_in_term_size():
+    """p(x1, ..., xn) against p(f(y1), ..., f(yn)) binds n variables, each
+    after an occurs check; nat(s^n(x1)) against nat(s^n(0)) walks n levels
+    to bind one. Both make calls into C in proportion to n."""
+    def nest(n, leaf):
+        for _ in range(n):
+            leaf = Fn("s", (leaf,))
+        return leaf
+
+    shapes = {
+        "wide": lambda n: (Atom("p", tuple(Var(i) for i in range(1, n + 1))),
+                           Atom("p", tuple(Fn("f", (Var(i),)) for i in range(1, n + 1)))),
+        "deep": lambda n: (Atom("nat", (nest(n, Var(1)),)), Atom("nat", (nest(n, Fn("0")),))),
+    }
+    for shape, pair in shapes.items():
+        def work(n):
+            a, b = pair(n)
+            unified = []
+            count = c_calls(lambda: unified.append(unify(a, 0, b, n, {}, [])))
+            assert unified == [True]
+            return count
+        assert_linear_work(work, label=shape)

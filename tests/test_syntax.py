@@ -33,6 +33,8 @@ from matchlog.syntax import (
 )
 
 from helpers import (
+    assert_linear_work,
+    c_calls,
     edge_program,
     subterms,
     flat_store,
@@ -435,3 +437,12 @@ def test_equality_of_deep_terms_does_not_recurse():
     assert chain(Fn("0")) == chain(Fn("0"))
     assert chain(Var(1)) != chain(Var(2))
     assert chain(Fn("0")) != chain(Var(1))
+
+
+def test_parse_program_does_linear_work_in_input_bytes():
+    """Parsing n copies of a clause, or one atom nested n deep, makes calls
+    into C in proportion to the input's bytes."""
+    shapes = {"wide": lambda n: "p(s(X), Y) :- q(X, f(Y)).\n" * n,
+              "deep": lambda n: "p(" + "s(" * n + "0" + ")" * n + ").\n"}
+    for shape, source in shapes.items():
+        assert_linear_work(lambda n: c_calls(lambda: parse_program(source(n))), label=shape)
