@@ -11,7 +11,6 @@ from .syntax import (
     ArityMismatchError,
     Atom,
     Clause,
-    Classification,
     Fn,
     Goal,
     ParseError,
@@ -47,7 +46,6 @@ from .cotree import (
     Status,
     TreeOutcome,
     build_tree,
-    load_tree_json,
     map_tree,
     render,
     success_subtree,

@@ -255,11 +255,11 @@ def _cmd_check(program: Program, args: argparse.Namespace) -> tuple[int, list[st
 
 
 def _cmd_classify(program: Program, args: argparse.Namespace) -> tuple[int, list[str]]:
-    classification = syntax.classify_program(program)
-    if not classification.is_existential:
+    existential = syntax.classify_program(program)
+    if not existential:
         return 0, ["non-existential\n"]
     lines, total = [], len(program.clauses)
-    for idx in classification.existential_clauses:
+    for idx in existential:
         clause = program.clauses[idx]
         names = clause.var_names or tuple(
             syntax.var_name(i) for i in range(1, clause.var_count + 1))

@@ -272,11 +272,6 @@ def pff_step(program: Program, atom: Atom, base: int) -> PffElement:
     program.check_atom(atom)
     if atom.max_var > base:
         raise ArityMismatchError(print_term(atom), base, atom.max_var, "goal")
-    return pff_step_unchecked(program, atom, base)
-
-
-def pff_step_unchecked(program: Program, atom: Atom, base: int) -> PffElement:
-    """`pff_step` for an atom known to fit the program's signature and `base`."""
     return PffElement.canonical(
         base, [frozenset(body) for _, _, body in instances(program, atom, base)])
 
@@ -550,14 +545,12 @@ def lax_sweep(program: Program,
 
     Neither side of a square mentions the target m, and the source n only
     shifts their fresh blocks. So each stepped (atom, restriction) pair is
-    decided once, by `lax_square` on the arrow n->atom.max_var, with one step
-    per atom at its own arity, moved to base n by `rebase`. The step is
-    `pff_step_unchecked`: each supplied atom is checked once, and its images
-    under pool terms cannot clash. A strict pair keeps only its verdict. A
-    pair that is not strict keeps its square, and each later (m, n) re-emits
-    it with its own witness and rebased sides. The injective arrows of such a
-    class are enumerated directly, as permutations of the variables the
-    restriction leaves unused.
+    decided once, by `lax_square` on the arrow n->atom.max_var, with one
+    `pff_step` per atom at its own arity, moved to base n by `rebase`. A
+    strict pair keeps only its verdict. A pair that is not strict keeps its
+    square, and each later (m, n) re-emits it with its own witness and
+    rebased sides. The injective arrows of such a class are enumerated
+    directly, as permutations of the variables the restriction leaves unused.
     """
     if atom_bases is None:
         atom_bases = default_check_atoms(program, max_arity)
@@ -568,13 +561,12 @@ def lax_sweep(program: Program,
     def step(atom: Atom, base: int) -> PffElement:
         e = stepped.get(atom)
         if e is None:
-            e = stepped[atom] = pff_step_unchecked(program, atom, atom.max_var)
+            e = stepped[atom] = pff_step(program, atom, atom.max_var)
         return rebase(e, base)
 
-    # Decided (atom, restriction) pairs: the strict ones, and the square of
-    # each one that is not.
-    strict: set[tuple[Atom, tuple[Term, ...]]] = set()
-    kept: dict[tuple[Atom, tuple[Term, ...]], LaxSquare] = {}
+    # Decided (atom, restriction) pairs: None for a strict one, the square
+    # of each one that is not.
+    decided: dict[tuple[Atom, tuple[Term, ...]], LaxSquare | None] = {}
     # The stepped restrictions of each (atom, n), as sorted pool indices;
     # the default atoms list each generic atom at two bases.
     picked: dict[tuple[Atom, int], list[tuple[int, ...]]] = {}
@@ -587,9 +579,9 @@ def lax_sweep(program: Program,
 
     for atom, m in atom_bases:
         top = atom.max_var
-        if top > m:
-            pff_step(program, atom, m)  # checks `atom`, then raises ArityMismatchError
         program.check_atom(atom)
+        if top > m:
+            raise ArityMismatchError(print_term(atom), m, top, "goal")
         used = tuple(sorted(set(term_vars(atom))))
         free = [i for i in range(1, m + 1) if i not in used]
         thetas = saturate(program, atom)
@@ -613,20 +605,16 @@ def lax_sweep(program: Program,
             for pick in picks:
                 fkey = tuple([pool[i] for i in pick])
                 key = (atom, fkey)
-                if key in strict:
-                    strict_ok += weight
-                    continue
                 tup = list(pool[:1] * m)
                 for i, t in zip(used, fkey):
                     tup[i - 1] = t
-                sq = kept.get(key)
-                if sq is None:
+                if key not in decided:
                     sq = lax_square(step, ArrowSubstitution(n, top, tuple(tup[:top])), atom)
-                    if sq.strict_ok:
-                        strict.add(key)
-                        strict_ok += weight
-                        continue
-                    kept[key] = sq
+                    decided[key] = None if sq.strict_ok else sq
+                sq = decided[key]
+                if sq is None:
+                    strict_ok += weight
+                    continue
                 sq = LaxSquare(ArrowSubstitution(n, m, tuple(tup)), atom,
                                rebase(sq.lhs, n), rebase(sq.rhs, n), sq.lax_ok, False)
                 if not sq.lax_ok:

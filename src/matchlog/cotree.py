@@ -44,10 +44,7 @@ from .syntax import (
     ArityMismatchError,
     Atom,
     Program,
-    Signature,
     Term,
-    parse_canonical_atom,
-    parse_canonical_term,
     print_term,
     rename,
     renumbering,
@@ -154,10 +151,6 @@ class TreeOutcome:
 
     status: Status
     proof: ProofTree | None = None
-
-    @property
-    def is_proved(self) -> bool:
-        return self.status is Status.PROVED
 
 
 # ---------------------------------------------------------------------------
@@ -419,18 +412,3 @@ def render(t: CoTree | ProofTree, fmt: str = "ascii", *, pieces: bool = False) -
         raise ValueError(f"unknown format {fmt!r}")
     out = _WRITERS[fmt](t, _printer(t.root))
     return out if pieces else "".join(out)
-
-
-def load_tree_json(text: str, signature: Signature | None = None) -> CoTree:
-    """Rebuild a tree from its JSON rendering. Library only: no command
-    reads JSON, so this keeps `json.loads`, which recurses on nesting."""
-    data = json.loads(text)
-
-    def make(obj: dict, ors: list) -> AndNode:
-        return and_node(parse_canonical_atom(obj["atom"], signature), [
-            ((int(o["clause"]), Substitution({int(k[1:]): parse_canonical_term(v)
-                                              for k, v in o.get("matcher", {}).items()})), kids)
-            for o, kids in ors], bool(obj["truncated"]))
-
-    return CoTree(fold(data, id, lambda obj: [(o, o["children"]) for o in obj["children"]], make),
-                  int(data["base"]))

@@ -49,19 +49,8 @@ class Substitution:
             i: t for i, t in bindings.items() if not (isinstance(t, Var) and t.index == i)
         }
 
-    @classmethod
-    def identity(cls) -> "Substitution":
-        return cls()
-
-    @property
-    def is_identity(self) -> bool:
-        return not self._bindings
-
     def get(self, index: int) -> Term:
         return self._bindings.get(index, Var(index))
-
-    def domain(self) -> frozenset[int]:
-        return frozenset(self._bindings)
 
     def items(self) -> tuple[tuple[int, Term], ...]:
         return tuple(sorted(self._bindings.items()))
@@ -278,10 +267,6 @@ class ArrowSubstitution:
     @classmethod
     def identity(cls, n: int) -> "ArrowSubstitution":
         return cls(n, n, tuple(Var(i) for i in range(1, n + 1)))
-
-    @property
-    def is_injection(self) -> bool:
-        return is_var_injection(self.terms)
 
     def rename_var(self, v: Var) -> Term:
         """`rename` var_fn: x_i goes to the i-th component, and the j-th

@@ -419,19 +419,9 @@ class Program:
         return var_first if matching else every
 
 
-@dataclass(frozen=True)
-class Classification:
-    """Which clauses (0-based indices) contain existential variables."""
-
-    existential_clauses: tuple[int, ...]
-
-    @property
-    def is_existential(self) -> bool:
-        return bool(self.existential_clauses)
-
-
-def classify_program(p: Program) -> Classification:
-    return Classification(tuple(i for i, c in enumerate(p.clauses) if c.is_existential))
+def classify_program(p: Program) -> tuple[int, ...]:
+    """The 0-based indices of the clauses that contain existential variables."""
+    return tuple(i for i, c in enumerate(p.clauses) if c.is_existential)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +438,6 @@ _TOKEN_RE = re.compile(
 )
 _NAME_START = frozenset(string.ascii_lowercase + string.digits)
 _VAR_START = frozenset(string.ascii_uppercase + "_")
-_CANONICAL_VAR = re.compile(r"X([1-9][0-9]*)")
 
 
 def _error(source: str, offset: int, message: str) -> ParseError:
@@ -485,8 +474,7 @@ class _Parser:
             raise self.error(what)
         self.pos += 1
 
-    def term(self, varmap: dict[str, int], canonical_vars: bool = False,
-             atom: bool = False) -> Term | Atom:
+    def term(self, varmap: dict[str, int], atom: bool = False) -> Term | Atom:
         """A term, or with `atom` an atom: a name with an optional argument
         list of terms. Functors whose argument list is open wait on an
         explicit stack, so nesting costs no frames; each symbol's arity is
@@ -494,7 +482,7 @@ class _Parser:
         tokens = self.tokens
         open_: list[tuple[str, list[Term]]] = []
         while True:
-            text, offset = tokens[self.pos]
+            text = tokens[self.pos][0]
             if text[:1] in _NAME_START:
                 self.pos += 1
                 if tokens[self.pos][0] == "(":
@@ -506,13 +494,7 @@ class _Parser:
                 raise self.error("a predicate name")
             elif text[:1] in _VAR_START:
                 self.pos += 1
-                if not canonical_vars:
-                    value = Var(varmap.setdefault(text, len(varmap) + 1))
-                elif m := _CANONICAL_VAR.fullmatch(text):
-                    value = Var(int(m.group(1)))
-                else:
-                    raise _error(self.source, offset,
-                                 f"expected canonical variable, found {text!r}")
+                value = Var(varmap.setdefault(text, len(varmap) + 1))
             else:
                 raise self.error("a term")
             while open_:
@@ -593,21 +575,6 @@ def parse_atom(source: str, signature: Signature | None = None) -> tuple[Atom, i
     """Parse one atom; variables are renumbered x1..xn by first occurrence."""
     goal = parse_goal(source, signature)
     return goal.atom, goal.var_count
-
-
-def parse_canonical_atom(source: str, signature: Signature | None = None) -> Atom:
-    """Parse an atom whose variables must already be spelled X1, X2, ..."""
-    parser = _Parser(source, signature)
-    atom = parser.term({}, canonical_vars=True, atom=True)
-    parser.expect("", "end of input")
-    return atom
-
-
-def parse_canonical_term(source: str) -> Term:
-    parser = _Parser(source)
-    term = parser.term({}, canonical_vars=True)
-    parser.expect("", "end of input")
-    return term
 
 
 # ---------------------------------------------------------------------------

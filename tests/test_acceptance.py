@@ -227,7 +227,7 @@ def test_criterion_7_bridge_and_ground_agreement(listnat, listnat_plus, gc, bad,
             atoms.update(c.body)
         depth = len(atoms) + 1
         for atom in atoms:
-            assert tm_prove(program, atom, depth).is_proved == (atom in entailed)
+            assert (tm_prove(program, atom, depth).status is Status.PROVED) == (atom in entailed)
     _passed(7, "answers never refute the prover; fixpoint agreement")
 
 

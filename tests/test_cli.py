@@ -176,12 +176,12 @@ def test_check_writes_nothing_when_it_fails_midway(capsys, monkeypatch):
     # A step that loses every body of an atom whose first argument mentions
     # X1 breaks injective squares, so the inj sweep has witnesses too. The
     # second witness record fails, after the counts and the first witness.
-    real_step, real_record = coalgebra.pff_step_unchecked, coalgebra.LaxSquare.to_record
+    real_step, real_record = coalgebra.pff_step, coalgebra.LaxSquare.to_record
 
     def lossy_step(program, atom, base):
         element = real_step(program, atom, base)
         return PffElement.canonical(base, []) if 1 in term_vars(atom.args[0]) else element
-    monkeypatch.setattr(coalgebra, "pff_step_unchecked", lossy_step)
+    monkeypatch.setattr(coalgebra, "pff_step", lossy_step)
     for what in ("lax", "inj"):
         for fmt in ("ascii", "json"):
             monkeypatch.setattr(coalgebra.LaxSquare, "to_record", failing_call(real_record, 2))
@@ -363,12 +363,21 @@ def test_check_outputs_are_pinned(capsys):
                 program, row, result[0], result[1][:200], result[2])
 
 
-def test_classify_output(capsys):
+def test_classify_output(capsys, tmp_path):
     code, out, _ = run(capsys, "classify", PROGRAMS / "gc.lp")
     assert code == 0
     assert out.strip() == "existential: clause 2 of 2 (variable Z)"
     code, out, _ = run(capsys, "classify", PROGRAMS / "listnat.lp")
     assert out.strip() == "non-existential"
+    two = tmp_path / "two.lp"
+    two.write_text("p(X) :- q(X, Y).\nq(a, b).\nr(X) :- q(X, Y), q(Y, Z), q(Z, W).\n",
+                   encoding="utf-8")
+    assert run(capsys, "classify", two) == (
+        0, "existential: clause 1 of 3 (variable Y)\n"
+           "existential: clause 3 of 3 (variables Y, Z, W)\n", "")
+    empty = tmp_path / "empty.lp"
+    empty.write_text("", encoding="utf-8")
+    assert run(capsys, "classify", empty) == (0, "non-existential\n", "")
 
 
 def test_usage_and_parse_errors(capsys, tmp_path):

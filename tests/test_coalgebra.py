@@ -31,6 +31,7 @@ from matchlog import (
     ground_lfp,
     lax_square,
     lax_sweep,
+    mgm,
     parse_atom,
     parse_program,
     pff_leq,
@@ -416,7 +417,7 @@ def test_lax_sweep_matches_oracle_on_injection_failures(listnat, gc, monkeypatch
     # steps only triggered and injective classes, so under this step the
     # untriggered classes it counts strict are not all strict by the brute
     # walk: the equality witnesses and strict counts part ways.
-    real_step = coalgebra.pff_step_unchecked
+    real_step = coalgebra.pff_step
 
     def lossy_step(program, atom, base):
         element = real_step(program, atom, base)
@@ -425,7 +426,7 @@ def test_lax_sweep_matches_oracle_on_injection_failures(listnat, gc, monkeypatch
         bodies = sorted(element.body, key=lambda s: sorted(print_term(a) for a in s))
         return PffElement.canonical(base, bodies[1:])
 
-    monkeypatch.setattr(coalgebra, "pff_step_unchecked", lossy_step)
+    monkeypatch.setattr(coalgebra, "pff_step", lossy_step)
     x1, x3 = Var(1), Var(3)
     for program, extra in [
         (listnat, [Atom("list", (Fn("cons", (x3, x1)),))]),
@@ -539,13 +540,13 @@ def test_lax_sweep_steps_the_triggered_and_injective_classes(listnat, listnat_pl
 def test_lax_sweep_checks_one_square_per_class(listnat, monkeypatch):
     # One square per stepped class: the triggered ones and the injections.
     squares, steps = _recorded_squares(monkeypatch), []
-    real_step = coalgebra.pff_step_unchecked
+    real_step = coalgebra.pff_step
 
     def counted_step(*args):
         steps.append(args)
         return real_step(*args)
 
-    monkeypatch.setattr(coalgebra, "pff_step_unchecked", counted_step)
+    monkeypatch.setattr(coalgebra, "pff_step", counted_step)
     report = lax_sweep(listnat, max_arity=3, term_depth=2)
     classes = _triggered_classes(listnat, 3)
     pairs = _stepped_pairs(classes)
@@ -575,17 +576,43 @@ def test_lax_sweep_raises_for_the_first_bad_atom_in_order(listnat):
 
 
 def test_lax_sweep_checks_each_supplied_atom_once(listnat, gc, monkeypatch):
-    # Arrow images are stepped unchecked: the images of a checked atom under
-    # the signature's own terms cannot clash with it.
-    checked = []
-    real_check = Program.check_atom
-    monkeypatch.setattr(Program, "check_atom",
-                        lambda self, a: checked.append(a) or real_check(self, a))
+    # The sweep checks each supplied atom before it sweeps it, each atom is
+    # stepped once, at its own arity, and `pff_step` checks only the atoms
+    # it steps.
+    log, stepping = [], []
+    real_check, real_step = Program.check_atom, coalgebra.pff_step
+
+    def check_atom(self, a):
+        log.append(("step check" if stepping else "check", a))
+        return real_check(self, a)
+
+    def counted_step(program, atom, base):
+        log.append(("step", atom, base))
+        stepping.append(atom)
+        try:
+            return real_step(program, atom, base)
+        finally:
+            stepping.pop()
+
+    monkeypatch.setattr(Program, "check_atom", check_atom)
+    monkeypatch.setattr(coalgebra, "pff_step", counted_step)
     for program in (listnat, gc):
         atom_bases = default_check_atoms(program, 3)
-        checked.clear()
+        log.clear()
         lax_sweep(program, atom_bases, max_arity=3, term_depth=2)
-        assert checked == [a for a, _ in atom_bases]
+        assert log[0][0] == "check"
+        assert [a for kind, a, *_ in log if kind == "check"] == [a for a, _ in atom_bases]
+        swept = None
+        for kind, a, *base in log:
+            if kind == "check":
+                swept = a
+            elif kind == "step":  # the atom swept, or an image of it
+                assert mgm(swept, a) is not None, (print_term(swept), print_term(a))
+        steps = [(a, base) for kind, a, *base in log if kind == "step"]
+        assert steps and all(base == [a.max_var] for a, base in steps)
+        assert len({a for a, _ in steps}) == len(steps)
+        supplied_or_stepped = {a for a, _ in atom_bases} | {a for a, _ in steps}
+        assert {a for _, a, *_ in log} <= supplied_or_stepped
 
 
 def test_lax_verdict_is_the_order(listnat, listnat_plus, gc, bad, ex33):

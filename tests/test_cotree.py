@@ -22,7 +22,6 @@ from matchlog import (
     parse_program,
     arrow_apply,
     build_tree,
-    load_tree_json,
     map_tree,
     parse_atom,
     render,
@@ -34,6 +33,7 @@ from matchlog import (
 )
 
 from matchlog import cotree
+from matchlog.substitution import is_var_injection
 
 from helpers import (
     ascii_oracle,
@@ -123,7 +123,7 @@ def test_trees_1500_layers_deep_take_no_frames():
     mapped = map_tree(ArrowSubstitution.identity(n), truncate_tree(t, 1502))
     assert tree_leq(mapped, t) and tree_leq(t, mapped)
     outcome = success_subtree(t)
-    assert outcome.is_proved
+    assert outcome.status is Status.PROVED
     assert tree_leq(truncate_tree(outcome.proof, 1502), t)
     ascii_lines = render(outcome.proof).splitlines()
     assert len(ascii_lines) == 2 * 1501
@@ -362,7 +362,7 @@ def test_tree_level_lax_squares(listnat_plus, gc, bad):
                 lhs = map_tree(f, build_tree(program, g, f.target, 3))
                 rhs = build_tree(program, arrow_apply(f, g), f.source, 3)
                 assert tree_leq(lhs, rhs), (str(f), g)
-                if f.is_injection:
+                if is_var_injection(f.terms):
                     assert tree_equal_upto_renaming(lhs, rhs)
 
 
@@ -402,29 +402,13 @@ def test_tree_equal_upto_renaming(gc):
     assert not tree_equal_upto_renaming(swapped(2, 5), deep)
 
 
-def test_render_golden_and_json_round_trip(listnat_plus, gc):
+def test_render_dot_shapes_and_rejects_unknown_format(gc):
     g, n = _goal("connected(X, Y)")
     t = build_tree(gc, g, n, 2)
     dot = render(t, "dot")
     assert "shape=point" in dot and "shape=box" in dot and "style=dashed" in dot
-    js = render(t, "json")
-    assert same_tree(load_tree_json(js, gc.signature), t)
-    g, n = _goal("list(cons(0, nil))")
-    t2 = build_tree(listnat_plus, g, n, 3)
-    assert same_tree(load_tree_json(render(t2, "json"), listnat_plus.signature), t2)
     with pytest.raises(ValueError):
         render(t, "svg")
-
-
-def test_json_round_trip_random_trees():
-    rng = random.Random(47)
-    for i in range(25):
-        program = random_fo_program(rng, existential=bool(i % 2))
-        preds = list(program.signature.predicate_arities.items())
-        pred, arity = rng.choice(preds)
-        goal = Atom(pred, tuple(Var(j) for j in range(1, arity + 1)))
-        t = build_tree(program, goal, arity, rng.randint(0, 3))
-        assert same_tree(load_tree_json(render(t, "json"), program.signature), t)
 
 
 def test_json_writer_matches_recursive_encoder():

@@ -64,7 +64,7 @@ def test_bad_exhausts(bad):
 def test_empty_goal(listnat):
     result = sld_solve(listnat, [])
     assert len(result.answers) == 1
-    assert result.answers[0].bindings.is_identity
+    assert not result.answers[0].bindings
     assert result.answers[0].steps == 0
 
 
@@ -100,7 +100,7 @@ def test_duplicate_answers_collapse(listnat_plus):
     g, _ = parse_atom("list(cons(0, nil))")
     result = sld_solve(listnat_plus, [g], SldLimits(max_answers=5, max_steps=100))
     assert len(result.answers) == 1
-    assert result.answers[0].bindings.is_identity
+    assert not result.answers[0].bindings
 
 
 def test_strategies_find_same_answer_set(listnat, listnat_plus, gc):

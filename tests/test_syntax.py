@@ -27,8 +27,6 @@ from matchlog import (
 from matchlog.substitution import rename_apart
 from matchlog.syntax import (
     canonical_clause,
-    parse_canonical_atom,
-    parse_canonical_term,
     term_vars,
 )
 
@@ -102,9 +100,9 @@ def test_zero_arity_atoms_round_trip():
 
 
 def test_classify(listnat, gc):
-    assert not classify_program(listnat).is_existential
-    assert classify_program(gc).existential_clauses == (1,)
-    assert not classify_program(parse_program("")).is_existential
+    assert classify_program(listnat) == ()
+    assert classify_program(gc) == (1,)
+    assert classify_program(parse_program("")) == ()
 
 
 def test_classify_matches_variable_containment():
@@ -116,7 +114,7 @@ def test_classify_matches_variable_containment():
             if not set().union(*[set(term_vars(b)) for b in c.body] or [set()])
                    <= set(term_vars(c.head))
         )
-        assert classify_program(p).existential_clauses == expected
+        assert classify_program(p) == expected
 
 
 def test_print_parse_round_trip(listnat, listnat_plus, gc, bad, ex33):
@@ -178,9 +176,6 @@ PARSE_ERRORS = [
     (parse_goal, "p(a),", "expected a predicate name, found end of input", 1, 6),
     (parse_goal, "X(a)", "expected a predicate name, found 'X'", 1, 1),
     (parse_goal, "p(a) q", "expected end of input, found 'q'", 1, 6),
-    (parse_canonical_atom, "p(X1, Y)", "expected canonical variable, found 'Y'", 1, 7),
-    (parse_canonical_term, "f(g(X0))", "expected canonical variable, found 'X0'", 1, 5),
-    (parse_canonical_atom, "p(X1) .", "expected end of input, found '.'", 1, 7),
 ]
 
 
@@ -209,7 +204,6 @@ def test_terms_nested_5000_deep_parse():
     assert goal.atoms == (Atom("nat", (deep,)), Atom("nat", (Fn("0"),)))
     clause = parse_program(f"nat({text}) :- nat(X).").clauses[0]
     assert clause.head == Atom("nat", (deep,)) and clause.body == (Atom("nat", (Var(1),)),)
-    assert parse_canonical_term(text.replace("X", "X1")) == deep
 
 
 def test_arity_mismatch_error_names_both_arities():
