@@ -17,6 +17,7 @@ each witness, answer and atom is printed once, into the document.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Callable, Sequence
@@ -165,9 +166,11 @@ def _check_lax(program: Program, args: argparse.Namespace) -> dict:
                          f"at arity {args.arity}")
     strict_expected = args.what == "inj"
     others = () if strict_expected else report.equality_failures
-    # simplest witnesses first
+    # Simplest witnesses first. Witnesses share their arrows' components and
+    # their atoms, so the sort key prints each distinct term once.
+    text = functools.cache(print_term)
     witnesses = sorted(report.lax_failures + report.injection_failures + others,
-                       key=lambda sq: (len(f := str(sq.arrow)), f, print_term(sq.atom)))
+                       key=lambda sq: (len(f := sq.arrow.text(text)), f, text(sq.atom)))
     return {"check": args.what,
             "squares_checked": report.squares_checked,
             "classes_checked": report.classes_checked,

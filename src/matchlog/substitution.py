@@ -277,8 +277,11 @@ class ArrowSubstitution:
         return Var(self.source + v.index - self.target)
 
     def __str__(self) -> str:
-        inner = ", ".join(print_term(t) for t in self.terms)
-        return f"({inner}):{self.source}->{self.target}"
+        return self.text(print_term)
+
+    def text(self, term_text: Callable[[Term], str]) -> str:
+        """`str(self)`, with each component printed by `term_text`."""
+        return f"({', '.join(map(term_text, self.terms))}):{self.source}->{self.target}"
 
 
 def is_var_injection(terms: Sequence[Term]) -> bool:

@@ -399,6 +399,12 @@ class Program:
                        tuple(var_first))
                 for pred, (every, by_functor, var_first) in building.items()}
 
+    @cached_property
+    def tm_table(self) -> dict:
+        """The term-matching prover's verdict table, shared by every
+        `engine_tm` search on this program (see `engine_tm._searcher`)."""
+        return {}
+
     def candidates(self, pred: str, first: Term | None,
                    matching: bool = False) -> tuple[int, ...]:
         """Indices, increasing, of the clauses whose head can match or unify

@@ -11,6 +11,8 @@ from matchlog.cli import main
 from matchlog.coalgebra import PffElement
 from matchlog.syntax import term_vars
 
+from helpers import assert_linear_work, c_calls
+
 PROGRAMS = pathlib.Path(__file__).parent / "programs"
 
 
@@ -152,6 +154,24 @@ def test_ground_oracle_3000_levels_deep(capsys, tmp_path, monkeypatch):
     assert out.splitlines() == [f"GROUND OK  A={a}  levels=0..3000 match=True  lfp_agrees=True"
                                 for a in "pq"]
     assert builds == [3000, 3000]
+
+
+def test_ground_oracle_does_linear_work_on_a_chain(capsys, tmp_path):
+    # Every atom's tm_status reads and extends the program's one verdict
+    # table, so r(nk) is proved from the stored verdict of r(nk-1) instead
+    # of by a search down the whole chain: n atoms cost n steps, not n²/2.
+    def work(n: int) -> int:
+        program = tmp_path / f"chain{n}.lp"
+        program.write_text("r(n0).\n" + "".join(f"r(n{k}) :- r(n{k - 1}).\n"
+                                                 for k in range(1, n)))
+        codes = []
+        count = c_calls(lambda: codes.append(
+            main(["check", str(program), "--what", "ground-oracle"])))
+        out = capsys.readouterr().out
+        assert codes == [0] and out.count("GROUND OK  ") == n == len(out.splitlines())
+        return count
+
+    assert_linear_work(work)
 
 
 def test_check_writes_nothing_when_it_fails_midway(capsys, monkeypatch):

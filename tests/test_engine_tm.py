@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from matchlog import (
     ArrowSubstitution,
     Atom,
     Fn,
+    Program,
     Status,
     Var,
     arrow_apply,
@@ -253,3 +255,50 @@ def test_proofs_1500_steps_deep_take_no_frames():
             break
         (node,) = orn.children
     assert clauses == list(range(k, -1, -1))
+
+
+def test_one_table_per_program_agrees_with_the_tree_at_every_depth(listnat, listnat_plus,
+                                                                   gc, bad, ex33):
+    # Every search on a program shares its table, so a verdict may come from
+    # a search at another depth, or under a goal with another base (a
+    # variable above the base is fresh, and a dead end on it is Unknown, not
+    # Failed). Goals of several bases are asked at depths 1..D in ascending,
+    # descending and shuffled order, each order on its own copy of the
+    # program; tm_prove and tm_status take turns on it.
+    rng, depths = random.Random(43), range(1, 7)
+    named = {"gc": ["connected(X, X)", "connected(X, Y)", "edge(X, Y)", "edge(X, X)"],
+             "bad": ["bad(X)"],
+             "listnat": ["nat(X)", "list(cons(X, Y))", "list(cons(0, nil))", "nat(s(s(0)))"]}
+    programs = [("listnat", listnat), ("listnat_plus", listnat_plus), ("gc", gc), ("bad", bad),
+                ("ex33", ex33)] + [(f"random {i}", random_fo_program(rng, existential=i % 3 > 0))
+                                   for i in range(18)]
+    seen = set()
+    for name, program in programs:
+        goals = [parse_atom(text, program.signature)[0] for text in named.get(name, [])]
+        goals += list(program.signature.generic_atoms)
+        pool = enumerate_terms(program.signature, 2, 2)
+        instances = {Atom(pred, args) for pred, arity in program.signature.predicates
+                     for args in itertools.product(pool, repeat=arity)}
+        goals += rng.sample(sorted(instances, key=str), min(10, len(instances)))
+        expected = {}
+        for g in goals:
+            for depth in depths:
+                tree = build_tree(program, g, g.max_var, depth)
+                expected[g, depth] = success_subtree(tree)
+                copy = Program(program.clauses, program.signature)
+                assert tm_status(copy, g, depth) is expected[g, depth].status, (name, g, depth)
+        seen.update(outcome.status for outcome in expected.values())
+        cases = list(expected)
+        shuffled = rng.sample(cases, len(cases))
+        for order in (sorted(cases, key=lambda c: c[1]), sorted(cases, key=lambda c: -c[1]),
+                      shuffled):
+            shared = Program(program.clauses, program.signature)
+            for i, (g, depth) in enumerate(order):
+                want = expected[g, depth]
+                if i % 2:
+                    assert tm_status(shared, g, depth) is want.status, (name, g, depth)
+                    continue
+                result = tm_prove(shared, g, depth)
+                assert result.status is want.status, (name, g, depth)
+                assert result.proof is None or same_tree(result.proof, want.proof), (g, depth)
+    assert seen == set(Status)
