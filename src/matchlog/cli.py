@@ -24,7 +24,6 @@ from typing import Callable, Sequence
 
 from . import coalgebra, cotree, engine_sld, engine_tm, syntax
 from .cotree import Status
-from .substitution import Substitution
 from .syntax import ArityMismatchError, ParseError, Program, print_term
 
 EX_USAGE = 64
@@ -119,7 +118,7 @@ def _text(lines: Sequence[str]) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _format_answer(bindings: Substitution, names: Sequence[str]) -> str:
+def _format_answer(answer: engine_sld.Answer, names: Sequence[str]) -> str:
     def name(index: int) -> str:
         """The goal's own spelling, or _G<k> for the k-th residual variable,
         prefixed with '_' until it clashes with no goal variable."""
@@ -130,8 +129,7 @@ def _format_answer(bindings: Substitution, names: Sequence[str]) -> str:
             candidate = "_" + candidate
         return candidate
 
-    parts = [f"{names[i - 1]} -> {print_term(t, name)}" for i, t in bindings.items()]
-    return "{" + ", ".join(parts) + "}"
+    return engine_sld.answer_text(answer.store.get, len(names), name)
 
 
 def _cmd_prove(program: Program, args: argparse.Namespace) -> tuple[int, list[str]]:
@@ -147,7 +145,7 @@ def _cmd_solve(program: Program, args: argparse.Namespace) -> tuple[int, list[st
                                   max_answers=args.max_answers,
                                   strategy=args.strategy)
     result = engine_sld.sld_solve(program, goal.atoms, limits)
-    lines = [_format_answer(answer.bindings, goal.var_names) for answer in result.answers]
+    lines = [_format_answer(answer, goal.var_names) for answer in result.answers]
     if result.exhausted:
         lines.append("%% bound reached")
     return 0, [_text(lines)]
@@ -203,7 +201,7 @@ def _check_bridge(program: Program, args: argparse.Namespace) -> dict:
         raise ValueError("nothing to check: the program has no atom")
     goals = [{"goal": print_term(rep.goal),
               "exhausted": rep.exhausted,
-              "answers": [{"answer": str(e.answer.bindings),
+              "answers": [{"answer": e.answer.text,
                            "instance": print_term(e.instance),
                            "tm": str(e.status)} for e in rep.entries]}
              for rep in reports]

@@ -22,20 +22,23 @@ renaming the clause apart and applying the unifier. The trace is a chain of
 (clause index, offset, parent) links, shared by every derivation that
 extends it. A choice point records the trail's length, and trying its next
 clause first undoes every binding made since. An answer is read only on
-success, in one `rename` walk that reads the query's variables through the
-store and renumbers the variables left free, and its trace is read out of
-the chain then.
+success, as text: one `print_term` walk per query variable reads its
+binding through the store and renumbers the variables left free, and no
+term is built. That text is the answer's key in the dedup set. A new answer
+keeps a copy of the store and its trace link; its substitution and its
+trace are read from them when first asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .cotree import Status
 from .engine_tm import tm_status
 from .substitution import Substitution, apply, unify, walk
-from .syntax import Atom, Program, Term, Var, rename, renumbering
+from .syntax import Atom, Program, Term, Var, print_term, rename, renumbering, var_name
 
 
 @dataclass(frozen=True)
@@ -57,18 +60,72 @@ class SldLimits:
             raise ValueError(f"unknown strategy {self.strategy!r}")
 
 
-@dataclass(frozen=True)
 class Answer:
-    """A computed substitution restricted to the query variables.
+    """A computed substitution restricted to the query variables x_1..x_n0.
 
     `trace` records (clause index, variable offset) per resolution step, so
     the derivation can be replayed and checked: the step's clause variable
     x_j is x_(j + offset) of the derivation.
+
+    `sld_solve` gives an answer `store`, a copy of the binding store at the
+    derivation's success, `link`, the end of its trace chain, and `text`,
+    its dedup key; `bindings` and `trace` are read from the store and the
+    chain when first asked for, and kept. Both can also be given directly,
+    as in `Answer(bindings, steps, trace)`; such an answer has no store.
     """
 
-    bindings: Substitution
-    steps: int
-    trace: tuple[tuple[int, int], ...]
+    def __init__(self, bindings: Substitution | None = None, steps: int = 0,
+                 trace: tuple[tuple[int, int], ...] | None = None, *,
+                 store: dict[int, tuple[Term, int]] | None = None, n0: int = 0,
+                 link: tuple | None = None, text: str | None = None) -> None:
+        if bindings is not None:
+            self.bindings = bindings
+        if trace is not None:
+            self.trace = trace
+        if text is not None:
+            self.text = text
+        self.steps = steps
+        self.store = store
+        self._n0 = n0
+        self._link = link
+
+    @cached_property
+    def bindings(self) -> Substitution:
+        """Each query variable's binding read through the store, with
+        residual free variables renumbered by first occurrence above the
+        query's."""
+        var_fn, get = renumbering(self._n0, {}), self.store.get
+        return Substitution({i: rename(Var(i), var_fn, get) for i in range(1, self._n0 + 1)})
+
+    @cached_property
+    def text(self) -> str:
+        """`str(self.bindings)`."""
+        return str(self.bindings)
+
+    @cached_property
+    def trace(self) -> tuple[tuple[int, int], ...]:
+        """The (clause index, offset) steps of the trace chain, first step first."""
+        steps = []
+        link = self._link
+        while link is not None:
+            idx, offset, link = link
+            steps.append((idx, offset))
+        steps.reverse()
+        return tuple(steps)
+
+    def _value(self) -> tuple:
+        return self.bindings, self.steps, self.trace
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Answer):
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __hash__(self) -> int:
+        return hash(self._value())
+
+    def __repr__(self) -> str:
+        return "Answer(bindings={!r}, steps={!r}, trace={!r})".format(*self._value())
 
 
 @dataclass(frozen=True)
@@ -77,23 +134,28 @@ class SldResult:
     exhausted: bool  # True when the step bound cut off unexplored derivations
 
 
-def _canonical_answer(n0: int,
-                      bound: Callable[[int], tuple[Term, int] | None]) -> Substitution:
-    """The answer sending each query variable x_1..x_n0 to its binding read
-    through `bound`, with residual free variables renumbered by first
-    occurrence above the query's, in the same walk."""
-    var_fn = renumbering(n0, {})
-    return Substitution({i: rename(Var(i), var_fn, bound) for i in range(1, n0 + 1)})
+def answer_text(bound: Callable[[int], tuple[Term, int] | None], n0: int,
+                name: Callable[[int], str] = var_name) -> str:
+    """The answer read from a binding store as text, "{name(i) -> term, ...}"
+    for each query variable x_i (i <= n0) that `bound` binds, in order of i.
+    One `print_term` walk per variable reads its binding through the store;
+    a variable left free prints as `name(k)`, where k is its own index up to
+    n0 and n0 + j for the j-th residual variable met. With the default
+    `name` it is `str` of the answer's `bindings`.
 
+    An unbound x_i is left out: it is free, and the answer fixes it. A bound
+    one never reads back to itself, since unification binds the larger of
+    two variables to the smaller and the store is acyclic."""
+    residual: dict[int, int] = {}
 
-def _read_trace(trace: tuple | None) -> tuple[tuple[int, int], ...]:
-    """The (clause index, offset) steps of a trace chain, first step first."""
-    steps = []
-    while trace is not None:
-        idx, offset, trace = trace
-        steps.append((idx, offset))
-    steps.reverse()
-    return tuple(steps)
+    def var_text(k: int) -> str:
+        if k > n0:
+            k = residual.setdefault(k, n0 + len(residual) + 1)
+        return name(k)
+
+    parts = [f"{name(i)} -> {print_term(Var(i), var_text, bound=bound)}"
+             for i in range(1, n0 + 1) if bound(i) is not None]
+    return "{" + ", ".join(parts) + "}"
 
 
 def sld_solve(program: Program, goals: Sequence[Atom],
@@ -107,7 +169,7 @@ def sld_solve(program: Program, goals: Sequence[Atom],
     clauses = program.clauses
 
     answers: list[Answer] = []
-    seen: set[Substitution] = set()
+    seen: set[str] = set()
 
     def sweep(budget: int, floor: int) -> bool:
         """One depth-first pass with a per-derivation step budget, reading
@@ -134,10 +196,11 @@ def sld_solve(program: Program, goals: Sequence[Atom],
                     # An earlier sweep read every derivation within its
                     # budget, the floor, so those are not read again.
                     if steps > floor:
-                        restricted = _canonical_answer(n0, store.get)
-                        if restricted not in seen:
-                            seen.add(restricted)
-                            answers.append(Answer(restricted, steps, _read_trace(trace)))
+                        key = answer_text(store.get, n0)
+                        if key not in seen:
+                            seen.add(key)
+                            answers.append(Answer(steps=steps, store=dict(store), n0=n0,
+                                                  link=trace, text=key))
                             if len(answers) >= limits.max_answers:
                                 return cutoff
                 elif steps >= budget:

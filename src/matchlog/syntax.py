@@ -592,46 +592,72 @@ def var_name(index: int) -> str:
 
 
 def print_term(t: Term, name: Callable[[int], str] = var_name,
-               texts: dict[Term, str | None] | None = None) -> str:
+               texts: dict[Term, str | None] | None = None,
+               bound: Callable[[int], tuple[Term, int] | None] | None = None) -> str:
     """Surface text of `t`, with `name(i)` for the variable of index i. The
     walk keeps its own stack, so it does not recurse on term depth.
 
-    `texts`, if given, is a memo shared by calls with the same `name`: it
-    maps a compound term to its text, or to None while its text is wanted.
-    A node of `t` that keys a text is printed as that text without a walk,
-    and one that keys None has its text stored once it is printed. Callers
-    choose the wanted terms, so the memo holds only texts they print anyway;
-    a term whose subterms are already there costs a walk of the rest.
+    `bound` reads a binding store of molecules, as in `rename`: `t` is at
+    offset 0, a variable whose key k has `bound(k)` equal to (u, o') prints
+    as u read at offset o', and every other variable prints as `name(k)`.
+    Variables are met left to right, so `name` may number them as it meets
+    them. A term is printed from the store as it stands; none is built.
+
+    `texts`, if given, is a memo shared by calls with the same `name` and
+    no `bound`: it maps a compound term to its text, or to None while its
+    text is wanted. A node of `t` that keys a text is printed as that text
+    without a walk, and one that keys None has its text stored once it is
+    printed. Callers choose the wanted terms, so the memo holds only texts
+    they print anyway; a term whose subterms are already there costs a walk
+    of the rest.
     """
     out: list[str] = []
-    stack: list[Term | str | tuple[Term, int]] = [t]
+    # The stack holds terms read at offset `off`, literal text, the end of
+    # a wanted term's text as (term, start), and the offset to go back to
+    # once a binding read at another offset is printed, as (offset,).
+    stack: list[Term | str | tuple] = [t]
+    off = 0
     while stack:
         x = stack.pop()
         if type(x) is str:
             out.append(x)
-        elif type(x) is Var:
-            out.append(name(x.index))
-        elif type(x) is tuple:  # (wanted term, start): its text ends here
-            key, start = x
-            text = texts[key] = "".join(out[start:])
-            out[start:] = [text]
-        elif not x.args:
+            continue
+        if type(x) is Var:
+            if bound is None or (m := bound(x.index + off)) is None:
+                out.append(name(x.index + off))
+                continue
+            x, xoff = m
+            if xoff != off and x.max_var:
+                stack.append((off,))
+                off = xoff
+            if type(x) is Var:
+                stack.append(x)
+                continue
+        elif type(x) is tuple:
+            if len(x) == 1:  # (offset,): go back to it
+                off = x[0]
+            else:  # (wanted term, start): its text ends here
+                key, start = x
+                text = texts[key] = "".join(out[start:])
+                out[start:] = [text]
+            continue
+        args = x.args
+        if not args:
             out.append(x.name)
-        else:
-            if texts is not None:
-                known = texts.get(x, "")
-                if known:
-                    out.append(known)
-                    continue
-                if known is None:
-                    stack.append((x, len(out)))
-            out.append(x.name + "(")
-            args = x.args
-            stack.append(")")
-            if len(args) > 1:
-                for a in reversed(args[1:]):
-                    stack += (a, ", ")
-            stack.append(args[0])
+            continue
+        if texts is not None:
+            known = texts.get(x, "")
+            if known:
+                out.append(known)
+                continue
+            if known is None:
+                stack.append((x, len(out)))
+        out.append(x.name + "(")
+        stack.append(")")
+        if len(args) > 1:
+            for a in reversed(args[1:]):
+                stack += (a, ", ")
+        stack.append(args[0])
     return "".join(out)
 
 

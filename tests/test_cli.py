@@ -9,7 +9,7 @@ import pathlib
 from matchlog import coalgebra, cotree, engine_sld, engine_tm
 from matchlog.cli import main
 from matchlog.coalgebra import PffElement
-from matchlog.syntax import term_vars
+from matchlog.syntax import Fn, term_vars
 
 from helpers import assert_linear_work, c_calls
 
@@ -517,3 +517,64 @@ def test_solve_names_residual_variables(capsys, tmp_path):
                            ("q(X)", "{X -> g(_G1, _G2)}")]:
         code, out, err = run(capsys, "solve", program, goal)
         assert (code, out, err) == (0, expected + "\n", ""), goal
+
+
+def test_solve_keeps_answers_apart_by_shared_residual_variables(capsys, tmp_path):
+    # Answers that differ only in how residual variables are shared are both
+    # printed; answers equal up to renumbering them print once. A goal
+    # variable spelled _G1 renames the first residual variable __G1; the
+    # second, _G2, clashes with no goal variable.
+    program = tmp_path / "sharing.lp"
+    program.write_text("p(f(A, B)).\np(f(A, A)).\np(f(C, D)).\np(f(E, E)).\n"
+                       "q(g(A), g(B)).\nq(g(A), g(A)).\nq(g(B), g(C)).\nq(A, g(A)).\n"
+                       "q(g(A), A).\n")
+    for goal, expected in [("p(X)", ["{X -> f(_G1, _G2)}", "{X -> f(_G1, _G1)}"]),
+                           ("p(_G1)", ["{_G1 -> f(__G1, _G2)}", "{_G1 -> f(__G1, __G1)}"]),
+                           ("q(_G1, Y)", ["{_G1 -> g(__G1), Y -> g(_G2)}",
+                                          "{_G1 -> g(__G1), Y -> g(__G1)}",
+                                          "{Y -> g(_G1)}", "{_G1 -> g(Y)}"])]:
+        code, out, err = run(capsys, "solve", program, goal, "--max-answers", "10")
+        assert (code, out.splitlines(), err) == (0, expected, ""), goal
+
+
+def test_solve_builds_no_terms_per_answer(capsys, monkeypatch):
+    """An answer is printed from a copy of the binding store, so the number
+    of terms built (`Fn` constructions that are not atoms) does not grow
+    with the number of answers."""
+    counts = {}
+    for k in (50, 200):
+        built = [0]
+        init = Fn.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built[0] += type(self) is Fn
+            init(self, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Fn, "__init__", counting_init)
+            code, out, err = run(capsys, "solve", PROGRAMS / "listnat.lp", "nat(X)",
+                                 "--max-answers", k)
+        assert (code, len(out.splitlines()), err) == (0, k, "")
+        assert out.splitlines()[-1] == "{X -> " + "s(" * (k - 1) + "0" + ")" * (k - 1) + "}"
+        counts[k] = built[0]
+    assert counts[50] == counts[200], counts
+
+
+def test_answer_read_out_does_linear_work(capsys, tmp_path):
+    # len(L, N) on a list of n elements has one answer, N = s^n(0), bound
+    # through n stored molecules at n offsets; reading it out walks each
+    # once, so the whole solve makes calls into C in proportion to n.
+    program = tmp_path / "len.lp"
+    program.write_text("len(nil, 0).\nlen(cons(X, L), s(N)) :- len(L, N).\n")
+
+    def work(n: int) -> int:
+        goal = "len(" + "cons(0, " * n + "nil" + ")" * n + ", N)"
+        codes = []
+        count = c_calls(lambda: codes.append(
+            main(["solve", str(program), goal, "--strategy", "dfs"])))
+        out = capsys.readouterr().out
+        assert codes == [0] and out == "{N -> " + "s(" * n + "0" + ")" * n + "}\n"
+        return count
+
+    # Sizes from 400 up, so that the parser's fixed calls weigh little.
+    assert_linear_work(work, (400, 800, 1600))

@@ -375,3 +375,25 @@ def test_dfs_on_a_ground_chain_does_linear_work():
         return count
 
     assert_linear_work(work)
+
+
+def test_answer_text_is_the_text_of_the_bindings_read_once(listnat, listnat_plus, gc, bad):
+    # `answer_text` reads an answer from its store copy without building it;
+    # with the default namer it prints what `str` of its bindings prints, so
+    # it is a faithful dedup key. The bindings and the trace are read once.
+    rng = random.Random(7)
+    programs = [listnat, listnat_plus, gc, bad, parse_program(
+        "mk(nil).\nmk(cons(A, L)) :- mk(L).\nsh(f(A, B)).\nsh(f(A, A)).\nsh(f(C, D)).\n"
+        "q(g(A), g(B)).\nq(A, g(A)).\nq(g(A), A).\nq(h(A, B, A), h(B, C, C)).\n")]
+    programs += [random_fo_program(rng, existential=bool(i % 2)) for i in range(16)]
+    answers, residual = 0, 0
+    for program in programs:
+        generic = program.signature.generic_atoms
+        for goal in [(g,) for g in generic] + ([generic] if len(generic) > 1 else []):
+            n0 = max(g.max_var for g in goal)
+            for ans in sld_solve(program, goal, SldLimits(8, 20)).answers:
+                assert engine_sld.answer_text(ans.store.get, n0) == ans.text == str(ans.bindings)
+                assert ans.bindings is ans.bindings and ans.trace is ans.trace
+                answers += 1
+                residual += any(t.max_var > n0 for _, t in ans.bindings.items())
+    assert answers > 80 and residual > 10, (answers, residual)
