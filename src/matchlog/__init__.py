@@ -22,8 +22,6 @@ from .syntax import (
     parse_atom,
     parse_goal,
     parse_program,
-    print_clause,
-    print_program,
     print_term,
     rename,
 )
@@ -71,7 +69,6 @@ from .coalgebra import (
     approximant_matches_tree,
     default_check_atoms,
     encode_tree,
-    enumerate_arrows,
     enumerate_terms,
     ground_coalgebra,
     ground_lfp,

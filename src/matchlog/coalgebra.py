@@ -3,8 +3,9 @@
 Ground side: a variable-free program is the same thing as a map sending each
 atom to the set of its clause bodies (a set of sets of atoms). Unfolding that
 map to a finite level produces nested approximants that carry exactly the
-information of the depth-truncated and-or tree; `approximant_matches_tree`
-checks the two constructions against each other at the deepest level, since
+information of the program's depth-truncated and-or tree;
+`approximant_matches_tree` checks the map's unfolding against the tree of
+the program it was read from at the deepest level, since
 projection carries agreement down to every lower one. Each construction is
 one `cotree.fold`, so levels cost no Python frames, and its approximants are
 hash-consed: equal ones are one object, so the check is settled at the roots.
@@ -39,7 +40,7 @@ import itertools
 import weakref
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .cotree import AndNode, build_tree, fold
 from .substitution import (
@@ -206,13 +207,18 @@ def encode_tree(node: AndNode, level: int) -> Approximant:
                 lambda x, groups: _approximant(x[1], x[0].atom, groups))
 
 
-def approximant_matches_tree(g: GroundCoalgebra, atom: Atom, level: int) -> bool:
-    """Does the level-n unfolding carry exactly the depth-n tree's information,
-    at every n from 0 to `level`? One comparison at `level` settles every n:
-    by induction on the folds, `project_approximant` takes the level-(k+1)
-    unfolding and encoding to the level-k ones, so equal approximants at
-    `level` project to equal ones at each n below it."""
-    root = build_tree(g.program, atom, 0, level).root
+def approximant_matches_tree(program: Program, g: GroundCoalgebra, atom: Atom,
+                             level: int) -> bool:
+    """Does the level-n unfolding of `g`, the structure map read off the
+    ground `program`, carry exactly the information of `program`'s own
+    depth-n tree, at every n from 0 to `level`? The tree is built from the
+    program as written, clause order, repeated clauses and body order
+    included, so a map that misreads the program fails the check. One
+    comparison at `level` settles every n: by induction on the folds,
+    `project_approximant` takes the level-(k+1) unfolding and encoding to
+    the level-k ones, so equal approximants at `level` project to equal
+    ones at each n below it."""
+    root = build_tree(program, atom, 0, level).root
     return unfold(g, atom, level) == encode_tree(root, level)
 
 
@@ -396,16 +402,6 @@ def enumerate_terms(signature: Signature, nvars: int, depth: int) -> tuple[Term,
     return tuple(pool)
 
 
-def enumerate_arrows(signature: Signature, max_arity: int = 3,
-                     term_depth: int = 2) -> Iterator[ArrowSubstitution]:
-    """All arrows n->m with n, m <= max_arity and components of bounded depth."""
-    for n in range(max_arity + 1):
-        pool = enumerate_terms(signature, n, term_depth)
-        for m in range(max_arity + 1):
-            for tup in itertools.product(pool, repeat=m):
-                yield ArrowSubstitution(n, m, tup)
-
-
 def default_check_atoms(program: Program, max_arity: int = 3) -> tuple[tuple[Atom, int], ...]:
     """Atoms worth checking, paired with the base arity to view them at:
     one generic atom per predicate, each clause head, and the generic atoms
@@ -436,14 +432,6 @@ class LaxSweepReport:
     lax_failures: tuple[LaxSquare, ...]
     equality_failures: tuple[LaxSquare, ...]  # one witness per behaviour class
     injection_failures: tuple[LaxSquare, ...]
-
-    @property
-    def all_lax_ok(self) -> bool:
-        return not self.lax_failures
-
-    @property
-    def injections_strict(self) -> bool:
-        return not self.injection_failures
 
 
 def saturate(program: Program, atom: Atom) -> tuple[tuple[Term, ...], ...]:

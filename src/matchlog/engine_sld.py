@@ -25,8 +25,9 @@ clause first undoes every binding made since. An answer is read only on
 success, as text: one `print_term` walk per query variable reads its
 binding through the store and renumbers the variables left free, and no
 term is built. That text is the answer's key in the dedup set. A new answer
-keeps a copy of the store and its trace link; its substitution and its
-trace are read from them when first asked for.
+keeps that text, a copy of the store and its trace link; its substitution
+and its trace are read from them when first asked for. `sld_solve` is the
+only maker of an `Answer`.
 """
 
 from __future__ import annotations
@@ -61,30 +62,22 @@ class SldLimits:
 
 
 class Answer:
-    """A computed substitution restricted to the query variables x_1..x_n0.
+    """A computed substitution restricted to the query variables x_1..x_n0,
+    made by `sld_solve` alone, as `Answer(steps, text, store, n0, link)`.
 
-    `trace` records (clause index, variable offset) per resolution step, so
-    the derivation can be replayed and checked: the step's clause variable
-    x_j is x_(j + offset) of the derivation.
-
-    `sld_solve` gives an answer `store`, a copy of the binding store at the
-    derivation's success, `link`, the end of its trace chain, and `text`,
-    its dedup key; `bindings` and `trace` are read from the store and the
-    chain when first asked for, and kept. Both can also be given directly,
-    as in `Answer(bindings, steps, trace)`; such an answer has no store.
+    `steps` is the derivation's length, `text` the answer's dedup key (its
+    `answer_text` with the default namer), `store` a copy of the binding
+    store at the derivation's success, and `link` the end of its trace chain.
+    `bindings` and `trace` are read from the store and the chain when first
+    asked for, and kept. `trace` records (clause index, variable offset) per
+    resolution step, so the derivation can be replayed and checked: the
+    step's clause variable x_j is x_(j + offset) of the derivation.
     """
 
-    def __init__(self, bindings: Substitution | None = None, steps: int = 0,
-                 trace: tuple[tuple[int, int], ...] | None = None, *,
-                 store: dict[int, tuple[Term, int]] | None = None, n0: int = 0,
-                 link: tuple | None = None, text: str | None = None) -> None:
-        if bindings is not None:
-            self.bindings = bindings
-        if trace is not None:
-            self.trace = trace
-        if text is not None:
-            self.text = text
+    def __init__(self, steps: int, text: str, store: dict[int, tuple[Term, int]],
+                 n0: int, link: tuple | None) -> None:
         self.steps = steps
+        self.text = text
         self.store = store
         self._n0 = n0
         self._link = link
@@ -98,11 +91,6 @@ class Answer:
         return Substitution({i: rename(Var(i), var_fn, get) for i in range(1, self._n0 + 1)})
 
     @cached_property
-    def text(self) -> str:
-        """`str(self.bindings)`."""
-        return str(self.bindings)
-
-    @cached_property
     def trace(self) -> tuple[tuple[int, int], ...]:
         """The (clause index, offset) steps of the trace chain, first step first."""
         steps = []
@@ -112,20 +100,6 @@ class Answer:
             steps.append((idx, offset))
         steps.reverse()
         return tuple(steps)
-
-    def _value(self) -> tuple:
-        return self.bindings, self.steps, self.trace
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Answer):
-            return NotImplemented
-        return self._value() == other._value()
-
-    def __hash__(self) -> int:
-        return hash(self._value())
-
-    def __repr__(self) -> str:
-        return "Answer(bindings={!r}, steps={!r}, trace={!r})".format(*self._value())
 
 
 @dataclass(frozen=True)
@@ -199,8 +173,7 @@ def sld_solve(program: Program, goals: Sequence[Atom],
                         key = answer_text(store.get, n0)
                         if key not in seen:
                             seen.add(key)
-                            answers.append(Answer(steps=steps, store=dict(store), n0=n0,
-                                                  link=trace, text=key))
+                            answers.append(Answer(steps, key, dict(store), n0, trace))
                             if len(answers) >= limits.max_answers:
                                 return cutoff
                 elif steps >= budget:

@@ -659,13 +659,3 @@ def print_term(t: Term, name: Callable[[int], str] = var_name,
                 stack += (a, ", ")
         stack.append(args[0])
     return "".join(out)
-
-
-def print_clause(c: Clause) -> str:
-    if not c.body:
-        return f"{print_term(c.head)}."
-    return f"{print_term(c.head)} :- {', '.join(print_term(a) for a in c.body)}."
-
-
-def print_program(p: Program) -> str:
-    return "".join(print_clause(c) + "\n" for c in p.clauses)

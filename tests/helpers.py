@@ -3,7 +3,11 @@
 The oracles deliberately avoid the code paths they check: matching and
 unification are cross-checked against brute-force enumeration over small
 term spaces, entailment of ground programs against a hand-rolled fixpoint
-loop, and tree shapes against a per-node re-scan of the clause list.
+loop, and tree shapes against a per-node re-scan of the clause list. The
+SLD oracles, `eager_sld` and `replay_trace`, call no function of
+`matchlog.substitution`: they unify with `robinson_mgu`, a textbook
+unifier with the occurs check, and apply and rename with `substitute`, a
+recursive walk; `Substitution` only holds their answers for comparison.
 """
 
 from __future__ import annotations
@@ -18,12 +22,12 @@ from typing import Callable
 
 from matchlog import coalgebra
 from matchlog import (
-    Answer,
     ArrowSubstitution,
     Atom,
     Clause,
     Fn,
     Program,
+    Signature,
     Substitution,
     Term,
     Var,
@@ -34,7 +38,7 @@ from matchlog import (
     compose_arrows,
     parse_program,
 )
-from matchlog.substitution import is_var_injection, rename_apart
+from matchlog.substitution import is_var_injection
 from matchlog.syntax import (
     canonical_clause,
     print_term,
@@ -150,6 +154,25 @@ def edge_program(edges: list[tuple[str, str]]) -> Program:
     """gc.lp's connectivity clauses followed by one `edge` fact per pair."""
     source = (pathlib.Path(__file__).parent / "programs" / "gc.lp").read_text(encoding="utf-8")
     return parse_program(source + "".join(f"edge({a}, {b}).\n" for a, b in edges))
+
+
+def program_text(p: Program) -> str:
+    """The program's clauses in surface syntax, one per line, with variables
+    printed as X1, X2, ..."""
+    return "".join(print_term(c.head) + (" :- " if c.body else "")
+                   + ", ".join(print_term(a) for a in c.body) + ".\n" for c in p.clauses)
+
+
+def all_arrows(signature: Signature, max_arity: int = 3,
+               term_depth: int = 2) -> list[ArrowSubstitution]:
+    """All arrows n->m with n, m <= max_arity and components of bounded
+    depth, in the order of `lax_sweep`'s pools."""
+    arrows = []
+    for n in range(max_arity + 1):
+        pool = coalgebra.enumerate_terms(signature, n, term_depth)
+        for m in range(max_arity + 1):
+            arrows += [ArrowSubstitution(n, m, tup) for tup in itertools.product(pool, repeat=m)]
+    return arrows
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +346,48 @@ def compose(s1: Substitution, s2: Substitution) -> Substitution:
     return Substitution(out)
 
 
+def substitute(s: dict[int, Term], x):
+    """`x`, a term, an atom or a tuple of them, with each variable x_i that
+    `s` binds replaced by s[i] at once, by a recursive walk that keeps
+    ground subterms as they are."""
+    if isinstance(x, tuple):
+        return tuple(substitute(s, t) for t in x)
+    if isinstance(x, Var):
+        return s.get(x.index, x)
+    if not s or not x.max_var:
+        return x
+    return type(x)(x.name, tuple(substitute(s, t) for t in x.args))
+
+
+def _disagreement(s: Term, t: Term) -> tuple[Term, Term] | None:
+    """The leftmost pair of subterms at which `s` and `t` differ, or None."""
+    if s == t:
+        return None
+    if isinstance(s, Var) or isinstance(t, Var) or (s.name, len(s.args)) != (t.name, len(t.args)):
+        return s, t
+    return next(pair for pair in map(_disagreement, s.args, t.args) if pair is not None)
+
+
+def robinson_mgu(a: Atom, b: Atom) -> dict[int, Term] | None:
+    """Most general unifier of two atoms, or None, by Robinson's algorithm
+    ("A machine-oriented logic based on the resolution principle", JACM
+    1965): while the two instances differ, take their leftmost disagreement
+    pair; unless one side is a variable that does not occur in the other,
+    fail; otherwise bind it and compose the binding into the unifier, which
+    so stays idempotent. Of two variables the larger index is bound, the
+    convention that makes answers comparable with `sld_solve`'s."""
+    sigma: dict[int, Term] = {}
+    while (pair := _disagreement(substitute(sigma, a), substitute(sigma, b))) is not None:
+        v, t = pair if isinstance(pair[0], Var) else pair[::-1]
+        if isinstance(t, Var) and t.index > v.index:
+            v, t = t, v
+        if not isinstance(v, Var) or v in subterms(t):
+            return None
+        sigma = {i: substitute({v.index: t}, u) for i, u in sigma.items()}
+        sigma[v.index] = t
+    return sigma
+
+
 def restricted_answer(n0: int, images) -> Substitution:
     """The answer sending x_i to the i-th of `images`, the images of the
     query's variables x_1..x_n0, with the variables above x_n0 renumbered
@@ -332,55 +397,64 @@ def restricted_answer(n0: int, images) -> Substitution:
         for i in term_vars(t):
             if i > n0 and i not in residual:
                 residual[i] = Var(n0 + len(residual) + 1)
-    fresh = Substitution(residual)
-    return Substitution({i: apply(fresh, t) for i, t in enumerate(images, 1)})
+    return Substitution(dict(enumerate(substitute(residual, tuple(images)), 1)))
 
 
-def replay_trace(program: Program, goals, answer: Answer) -> Substitution:
-    """Re-run a recorded SLD derivation by the eager step: each clause of
-    the trace renamed apart at its offset, unified with the leftmost goal,
-    and the unifier applied to the rest and composed into the answer.
-    Returns the restricted answer it computes.
+def eager_step(clause: Clause, offset: int, resolvent: tuple[Atom, ...],
+               images: tuple[Term, ...]) -> tuple[tuple[Atom, ...], tuple[Term, ...]] | None:
+    """The textbook SLD step: `clause` renamed apart, its x_j becoming
+    x_(j + offset), its head unified with the leftmost atom of `resolvent`
+    by `robinson_mgu`, and the unifier applied to the new resolvent and to
+    `images`, the query variables' images so far; None when the head does
+    not unify."""
+    if (clause.head.name, len(clause.head.args)) != (resolvent[0].name, len(resolvent[0].args)):
+        return None
+    shift = {j: Var(j + offset) for j in range(1, clause.var_count + 1)}
+    sigma = robinson_mgu(resolvent[0], substitute(shift, clause.head))
+    if sigma is None:
+        return None
+    return (substitute(sigma, substitute(shift, clause.body) + resolvent[1:]),
+            substitute(sigma, images))
+
+
+def replay_trace(program: Program, goals, trace) -> Substitution:
+    """Re-run a recorded SLD derivation, a sequence of (clause index,
+    offset) steps, by `eager_step`. Returns the restricted answer it
+    computes.
 
     Raises ValueError if any step fails to unify or the final goal is not
     empty.
     """
     resolvent = tuple(goals)
-    sigma = Substitution()
-    for idx, offset in answer.trace:
+    n0 = max((g.max_var for g in goals), default=0)
+    images = tuple(Var(i) for i in range(1, n0 + 1))
+    for idx, offset in trace:
         if not resolvent:
             raise ValueError("trace continues past an empty goal")
-        renamed = rename_apart(program.clauses[idx], offset)
-        unifier = mgu(resolvent[0], renamed.head)
-        if unifier is None:
+        step = eager_step(program.clauses[idx], offset, resolvent, images)
+        if step is None:
             raise ValueError(f"trace step does not unify: clause {idx}")
-        resolvent = apply(unifier, renamed.body + resolvent[1:])
-        sigma = compose(unifier, sigma)
+        resolvent, images = step
     if resolvent:
         raise ValueError("trace ends on a non-empty goal")
-    n0 = max((g.max_var for g in goals), default=0)
-    return restricted_answer(n0, tuple(apply(sigma, Var(i)) for i in range(1, n0 + 1)))
+    return restricted_answer(n0, images)
 
 
 def eager_sld(program: Program, goals: tuple[Atom, ...], max_steps: int,
               max_answers: int, strategy: str) -> tuple[list[tuple], bool]:
     """SLD by the textbook eager step, as (answers, exhausted); each answer is
-    (bindings, steps, trace). Every clause of the program is tried in order,
-    renamed above the node's ceiling, and each unifier is applied to the
-    whole resolvent and to the query's images, the answer being those images
-    with residual variables renumbered by first occurrence. Depth-first, or
-    iterative deepening with the step budget doubling up to `max_steps`."""
+    (bindings, steps, trace). Every clause of the program is tried in order
+    by `eager_step`, renamed above the node's ceiling, the answer being the
+    query's images with residual variables renumbered by first occurrence.
+    Depth-first, or iterative deepening with the step budget doubling up to
+    `max_steps`."""
     n0 = max((g.max_var for g in goals), default=0)
     answers: list[tuple] = []
     seen: set[Substitution] = set()
 
-    def renamed(clause: Clause, offset: int) -> tuple[Atom, tuple[Atom, ...]]:
-        shift = Substitution({i: Var(i + offset) for i in range(1, clause.var_count + 1)})
-        return apply(shift, clause.head), apply(shift, clause.body)
-
     def sweep(budget: int) -> bool:
         cutoff = False
-        stack = [(goals, tuple(Var(i) for i in range(1, n0 + 1)), n0, 0, ())]
+        stack = [(tuple(goals), tuple(Var(i) for i in range(1, n0 + 1)), n0, 0, ())]
         while stack:
             resolvent, images, ceiling, steps, trace = stack.pop()
             if not resolvent:
@@ -396,12 +470,9 @@ def eager_sld(program: Program, goals: tuple[Atom, ...], max_steps: int,
                 continue
             children = []
             for idx, clause in enumerate(program.clauses):
-                head, body = renamed(clause, ceiling)
-                sigma = mgu(resolvent[0], head)
-                if sigma is not None:
-                    children.append((apply(sigma, body + resolvent[1:]),
-                                     tuple(apply(sigma, t) for t in images),
-                                     ceiling + clause.var_count, steps + 1,
+                step = eager_step(clause, ceiling, resolvent, images)
+                if step is not None:
+                    children.append((*step, ceiling + clause.var_count, steps + 1,
                                      trace + ((idx, ceiling),)))
             stack.extend(reversed(children))
         return cutoff

@@ -6,7 +6,7 @@ import hashlib
 import json
 import pathlib
 
-from matchlog import coalgebra, cotree, engine_sld, engine_tm
+from matchlog import coalgebra, cotree, engine_sld, engine_tm, syntax
 from matchlog.cli import main
 from matchlog.coalgebra import PffElement
 from matchlog.syntax import Fn, term_vars
@@ -138,6 +138,34 @@ def test_check_ground_oracle(capsys):
     assert run(capsys, "check", PROGRAMS / "gc.lp", "--what", "ground-oracle") == (
         65, "", "matchlog: ground-oracle requires a variable-free program: "
                 "clause 0 contains variables; the program is not ground\n")
+
+
+def test_ground_oracle_catches_a_misread_map(capsys, monkeypatch):
+    # The trees come from the program as loaded, not from the map under
+    # test, so a map that loses one of a's two bodies fails at a, and at d,
+    # whose tree reaches a.
+    real = coalgebra.ground_coalgebra
+    monkeypatch.setattr(coalgebra, "ground_coalgebra", lambda program: coalgebra.GroundCoalgebra(
+        tuple((atom, frozenset(list(bodies)[1:]) if len(bodies) == 2 else bodies)
+              for atom, bodies in real(program).entries)))
+    assert run(capsys, "check", PROGRAMS / "ex33.lp", "--what", "ground-oracle") == (1, "".join(
+        f"GROUND {'FAIL' if a in 'ad' else 'OK'}  A={a}  levels=0..4 "
+        f"match={a not in 'ad'}  lfp_agrees=True\n" for a in "abcd"), "")
+
+
+def test_ground_oracle_reads_the_program_as_written(capsys, tmp_path):
+    # Out of order, a clause repeated, one body written in two orders: a's
+    # tree has four or-children where the map has two bodies, and the
+    # unfoldings still carry exactly the trees' information.
+    text = "d :- a, c.\na :- b, d.\na :- c, b.\na :- b, c.\nb.\na :- b, c.\n"
+    program = tmp_path / "written.lp"
+    program.write_text(text)
+    parsed = syntax.parse_program(text)
+    a = syntax.Atom("a")
+    assert len(cotree.build_tree(parsed, a, 0, 1).root.children) == 4
+    assert len(coalgebra.ground_coalgebra(parsed).body_sets(a)) == 2
+    assert run(capsys, "check", program, "--what", "ground-oracle") == (0, "".join(
+        f"GROUND OK  A={x}  levels=0..4 match=True  lfp_agrees=True\n" for x in "abcd"), "")
 
 
 def test_ground_oracle_3000_levels_deep(capsys, tmp_path, monkeypatch):

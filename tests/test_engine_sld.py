@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import inspect
 import random
+import sys
 import tracemalloc
 
 import pytest
 
-from matchlog import cotree, engine_sld, engine_tm
+from matchlog import cotree, engine_sld, engine_tm, substitution
 from matchlog import (
-    Answer,
     Atom,
     Fn,
     SldLimits,
@@ -81,7 +82,7 @@ def test_answers_replay(listnat_plus, gc):
         result = sld_solve(program, [g], SldLimits(max_answers=k, max_steps=500))
         assert result.answers
         for ans in result.answers:
-            assert replay_trace(program, [g], ans) == ans.bindings
+            assert replay_trace(program, [g], ans.trace) == ans.bindings
 
 
 def test_replay_trace_rejects_a_trace_that_does_not_derive_the_goal(listnat):
@@ -92,7 +93,7 @@ def test_replay_trace_rejects_a_trace_that_does_not_derive_the_goal(listnat):
                            (((2, 0),), "trace step does not unify: clause 2"),
                            ((), "trace ends on a non-empty goal")):
         with pytest.raises(ValueError, match=message):
-            replay_trace(listnat, [goal], Answer(ans.bindings, len(trace), trace))
+            replay_trace(listnat, [goal], trace)
 
 
 def test_duplicate_answers_collapse(listnat_plus):
@@ -259,10 +260,7 @@ def test_sld_steps_apply_no_substitution(monkeypatch, listnat, gc):
 
 
 def test_sld_solve_never_renames_a_clause(monkeypatch, listnat, listnat_plus, gc):
-    # Clauses are used in place at an offset; `rename_apart` is left to the
-    # tests' `replay_trace`.
-    from matchlog import substitution
-
+    # Clauses are used in place at an offset; no step renames one apart.
     def refuse(*args):
         raise AssertionError("rename_apart called")
 
@@ -318,7 +316,7 @@ def test_a_3000_step_derivation_replays():
         (answer,) = result.answers
         assert answer.steps == len(answer.trace) == 3000
         assert [idx for idx, _ in answer.trace] == list(range(2999, -1, -1))
-        assert replay_trace(program, [goal], answer) == answer.bindings == Substitution()
+        assert replay_trace(program, [goal], answer.trace) == answer.bindings == Substitution()
 
 
 def test_sld_solve_equals_eager_oracle(listnat, listnat_plus, gc, bad, ex33):
@@ -346,9 +344,37 @@ def test_sld_solve_equals_eager_oracle(listnat, listnat_plus, gc, bad, ex33):
                     assert got == expected, (goal, strategy, max_steps)
                     assert result.exhausted == exhausted, (goal, strategy, max_steps)
                     for ans in result.answers:
-                        assert replay_trace(program, goal, ans) == ans.bindings
+                        assert replay_trace(program, goal, ans.trace) == ans.bindings
                     queries += 1
     assert queries > 500
+
+
+def test_sld_oracles_call_no_function_of_substitution(listnat, listnat_plus, gc):
+    # `eager_sld` and `replay_trace` unify with the tests' own Robinson
+    # unifier, so a defect in `unify` cannot show on both sides of
+    # `test_sld_solve_equals_eager_oracle`. `Substitution` only holds answers.
+    codes = {f.__code__ for f in vars(substitution).values()
+             if inspect.isfunction(f) and f.__module__ == substitution.__name__}
+    called = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            called.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        for program, text in ((listnat, "list(X)"), (listnat_plus, "list(cons(X, Y))"),
+                              (gc, "connected(X, Y)")):
+            goal = tuple(parse_goal(text, program.signature).atoms)
+            answers, _ = eager_sld(program, goal, 8, 5, "iddfs")
+            assert answers
+            for bindings, _, trace in answers:
+                assert replay_trace(program, goal, trace) == bindings
+        assert not called, sorted(set(called))
+        substitution.mgu(*parse_goal("p(X), p(a)").atoms)  # the profile sees a call
+    finally:
+        sys.setprofile(None)
+    assert called[0] == "mgu"
 
 
 def _first_argument_constants(program):

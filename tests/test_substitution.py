@@ -38,6 +38,8 @@ from helpers import (
     ground_term_pool,
     random_atom,
     random_store,
+    robinson_mgu,
+    substitute,
 )
 
 
@@ -81,6 +83,38 @@ def test_mgu_occurs_check():
     assert mgu(a, b) is None
     # brute force: no instance over ground terms of depth <= 3 equalises them
     assert enumerate_unifiers(a, b, ground_term_pool(3)) == []
+
+
+def test_robinson_mgu_is_most_general():
+    # The SLD oracles' own unifier, checked as `check_mgu_case` checks `mgu`:
+    # every unifier over a ground pool factors through it. It also equals
+    # `mgu`, both keeping the smaller of two merged variables.
+    a, b = Atom("p", (Var(1), Fn("s", (Var(1),)))), Atom("p", (Var(2), Var(2)))
+    assert robinson_mgu(a, b) is None  # the occurs check
+    assert robinson_mgu(*_atoms("nat(X)", "list(X)")) is None
+    assert robinson_mgu(Atom("c", (Var(1), Var(2))), Atom("c", (Var(3), Var(3)))) == {
+        2: Var(1), 3: Var(1)}
+    rng = random.Random(1965)
+    pool = ground_term_pool(2)
+    unified = 0
+    for i in range(400):
+        nvars = rng.randint(1, 3)
+        a = random_atom(rng, nvars, depth=2)
+        b = random_atom(rng, nvars, depth=2, preds=((a.name, len(a.args)),))
+        sigma = robinson_mgu(a, b)
+        assert mgu(a, b) == (None if sigma is None else Substitution(sigma))
+        if sigma is not None:
+            unified += 1
+            assert substitute(sigma, a) == substitute(sigma, b)
+            images = tuple(sigma.values())
+            assert substitute(sigma, images) == images, "the unifier must be idempotent"
+        if i % 4 == 0:
+            unifiers = enumerate_unifiers(a, b, pool + [Var(j) for j in range(1, nvars + 1)])
+            if unifiers:
+                assert sigma is not None
+            for tau in unifiers:
+                assert compose(tau, Substitution(sigma)) == tau
+    assert 100 < unified < 400
 
 
 def test_mgm_examples():
